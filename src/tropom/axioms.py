@@ -11,9 +11,17 @@ A type set is a tropical oriented matroid when it satisfies:
 * surrounding   — every refinement of a member is a member.
 
 ``check_axioms`` sweeps all four and returns a report carrying witnesses for
-whatever failed.  The elimination and comparability quantifiers are plain
-nested loops over pairs of types, so they are vectorized with numpy; witness
-reconstruction always goes back through the scalar code path.
+whatever failed.  The elimination quantifier runs over all pairs of types
+with numpy.
+
+Comparability has one verdict and one witness.  The verdict is the private
+kernel ``_cycle_pairs``: for many pairs at once it packs, per direction, the
+heads of all arcs and of the one-way arcs into bitmasks, closes the arcs by
+Warshall over the d bit rows, and flags a pair when some one-way arc is
+closed by a path back.  Both ``check_comparability`` and
+``structure.reconstruct_from_topes`` call it.  The witness is
+``find_directed_cycle`` on the explicit ``comparability_graph``, run only
+for the pairs the kernel flagged.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from .core import (
 
 _MAX_PARTITION_DIRECTIONS = 6
 _MAX_PERMUTATION_DIRECTIONS = 8
-_CHUNK = 128
+_PAIR_BUDGET = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -138,80 +146,31 @@ def comparability_graph(a: Type, b: Type) -> Semidigraph:
     return Semidigraph(a.d, frozenset(und), frozenset(drc))
 
 
-def _strongly_connected(adj: dict[int, set[int]]) -> dict[int, int]:
-    """Tarjan, iterative.  Returns a component id per vertex."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    comp: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = itertools.count()
-    comp_counter = itertools.count()
-
-    for root in adj:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(adj[root])))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = next(counter)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(adj[w]))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                cid = next(comp_counter)
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = cid
-                    if w == v:
-                        break
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-    return comp
-
-
 def find_directed_cycle(g: Semidigraph) -> list[int] | None:
     """A closed walk through at least one one-way arc, or None.
 
     The walk is returned as a vertex list with the start repeated at the
-    end, e.g. [2, 3, 1, 2].
+    end, e.g. [2, 3, 1, 2].  It closes the first one-way arc j -> k, in
+    sorted order, with a shortest way back from k to j (breadth first,
+    neighbours in ascending order).
     """
-    adj = g.arcs()
-    comp = _strongly_connected(adj)
+    adj = {v: sorted(ws) for v, ws in g.arcs().items()}
     for j, k in sorted(g.directed):
-        if comp[j] != comp[k]:
-            continue
-        # walk back from k to j inside the component
-        prev = {k: 0}
+        prev = {k: k}
         queue = [k]
-        while queue:
-            v = queue.pop(0)
-            if v == j:
-                break
-            for w in sorted(adj[v]):
-                if w not in prev and comp[w] == comp[j]:
+        head = 0
+        while head < len(queue) and j not in prev:
+            v = queue[head]
+            head += 1
+            for w in adj[v]:
+                if w not in prev:
                     prev[w] = v
                     queue.append(w)
+        if j not in prev:
+            continue
         path = [j]
-        v = j
-        while v != k:
-            v = prev[v]
-            path.append(v)
+        while path[-1] != k:
+            path.append(prev[path[-1]])
         path.reverse()  # now k ... j
         return [j] + path
     return None
@@ -222,50 +181,54 @@ def has_directed_cycle(g: Semidigraph) -> bool:
     return find_directed_cycle(g) is not None
 
 
-def _cg_has_cycle(acoords: tuple[int, ...], bcoords: tuple[int, ...], d: int) -> bool:
-    """Bitmask fast path for has_directed_cycle(comparability_graph(a, b))."""
-    out = [0] * (d + 1)  # all arcs, 1-based
-    strict_pairs: list[tuple[int, int]] = []
-    for am, bm in zip(acoords, bcoords):
-        inter = am & bm
-        only_a = am & ~inter
-        only_b = bm & ~inter
-        if inter:
-            for j in elements_of(inter):
-                out[j] |= inter & ~(1 << (j - 1))
-        if only_a and bm:
-            for j in elements_of(only_a):
-                tgt = bm & ~(1 << (j - 1))
-                if tgt:
-                    out[j] |= tgt
-                    strict_pairs.append((j, tgt))
-        if inter and only_b:
-            for j in elements_of(inter):
-                tgt = only_b & ~(1 << (j - 1))
-                if tgt:
-                    out[j] |= tgt
-                    strict_pairs.append((j, tgt))
-    if not strict_pairs:
-        return False
-    # reachability closure
-    reach = out[:]
-    changed = True
-    while changed:
-        changed = False
-        for v in range(1, d + 1):
-            acc = reach[v]
-            grow = acc
-            for w in elements_of(acc):
-                grow |= reach[w]
-            if grow != acc:
-                reach[v] = grow
-                changed = True
-    for j, tgt in strict_pairs:
-        jb = 1 << (j - 1)
-        for k in elements_of(tgt):
-            if reach[k] & jb:
-                return True
-    return False
+def _cycle_pairs(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """The comparability verdict for many pairs at once.
+
+    a and b hold uint64 coordinate masks, shape (..., n) with the same number
+    of axes, and broadcast against each other to the pairs (A, B).  Returns one bool per pair: True
+    when the comparability graph of (A, B) has a closed walk through a
+    one-way arc, i.e. has_directed_cycle(comparability_graph(A, B)).
+
+    Pairs are taken in chunks along the leading axis of the broadcast shape,
+    at most _PAIR_BUDGET pairs at a time unless one row alone holds more.
+    """
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    verdict = np.zeros(shape, dtype=bool)
+    if verdict.size == 0:
+        return verdict
+    rows = max(1, _PAIR_BUDGET * shape[0] // verdict.size)
+    bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
+    for r0 in range(0, shape[0], rows):
+        ac = a[r0 : r0 + rows] if a.shape[0] > 1 else a
+        bc = b[r0 : r0 + rows] if b.shape[0] > 1 else b
+        verdict[r0 : r0 + rows] = _cycle_chunk(ac, bc, bits)
+    return verdict
+
+
+def _cycle_chunk(a: np.ndarray, b: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    d = len(bits)
+    pairs = np.broadcast_shapes(a.shape, b.shape)[:-1]
+    # out[..., j]: every head of an arc leaving direction j+1;
+    # one[..., j]: the heads of the one-way arcs among them
+    out = np.empty(pairs + (d,), dtype=np.uint64)
+    one = np.empty_like(out)
+    for j, bit in enumerate(bits):
+        tail = (a & bit) != 0
+        b_at_tail = b * tail
+        out[..., j] = np.bitwise_or.reduce(b_at_tail, axis=-1) & ~bit
+        one[..., j] = np.bitwise_or.reduce(
+            b_at_tail & ~(a * ((b & bit) != 0)), axis=-1
+        )
+    # Warshall: reach[..., v] ends as everything reachable from v+1
+    reach = out
+    for k, bit in enumerate(bits):
+        reach |= reach[..., k : k + 1] * ((reach & bit) != 0)
+    # bad when some one-way arc j -> k is closed by a path from k back to j
+    bad = np.zeros(pairs, dtype=bool)
+    for k, bit in enumerate(bits):
+        back = (reach[..., k : k + 1] & bits) != 0
+        bad |= (((one & bit) != 0) & back).any(axis=-1)
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -384,40 +347,16 @@ def check_elimination(m: TomTypeSet) -> tuple[bool, tuple[tuple[Type, Type, int]
 def check_comparability(
     m: TomTypeSet,
 ) -> tuple[bool, tuple[tuple[Type, Type, tuple[int, ...]], ...]]:
-    k, n, d = len(m.types), m.n, m.d
-    if k == 0:
+    if not m.types:
         return True, ()
-    X = np.zeros((k, n, d), dtype=np.uint8)
-    for t_idx, t in enumerate(m.types):
-        for i, mask in enumerate(t.coords):
-            for j in elements_of(mask):
-                X[t_idx, i, j - 1] = 1
-    X16 = X.astype(np.int16)
-    eye = np.eye(d, dtype=bool)
-    bad_pairs: list[tuple[int, int]] = []
-    for a0 in range(0, k, _CHUNK):
-        a1 = min(a0 + _CHUNK, k)
-        cnt_all = np.einsum("aij,bik->abjk", X16[a0:a1], X16)
-        Z = (X[a0:a1, None, :, :] & X[None, :, :, :]).astype(np.int16)
-        cnt_und = np.einsum("abij,abik->abjk", Z, Z)
-        adj = (cnt_all > 0) & ~eye
-        strict = (cnt_all > cnt_und) & ~eye
-        reach = adj
-        while True:
-            step = np.matmul(reach.astype(np.uint8), reach.astype(np.uint8)) > 0
-            nxt = reach | step
-            if (nxt == reach).all():
-                break
-            reach = nxt
-        bad = (strict & np.swapaxes(reach, 2, 3)).any(axis=(2, 3))
-        for ra, rb in zip(*np.nonzero(bad)):
-            a, b = a0 + int(ra), int(rb)
-            if a <= b:
-                bad_pairs.append((a, b))
+    M = np.array([t.coords for t in m.types], dtype=np.uint64)
+    bad = _cycle_pairs(M[:, None, :], M[None, :, :], m.d)
+    # the graph of (b, a) is the graph of (a, b) reversed: keep a <= b
     failures = []
-    for a, b in sorted(bad_pairs):
-        cycle = find_directed_cycle(comparability_graph(m.types[a], m.types[b]))
-        failures.append((m.types[a], m.types[b], tuple(cycle or ())))
+    for a, b in zip(*np.nonzero(np.triu(bad))):
+        ta, tb = m.types[a], m.types[b]
+        cycle = find_directed_cycle(comparability_graph(ta, tb))
+        failures.append((ta, tb, tuple(cycle or ())))
     return not failures, tuple(failures)
 
 

@@ -9,12 +9,7 @@ SVG) to stdout, and exit with
 * 1 — a verification failed (axioms, subdivision conditions, transition
       rules, embedding consistency, or no elimination witness),
 * 2 — unusable input (malformed JSON, shape errors, out-of-range indices,
-      or a search space over the enumeration cap).
-
-`--seed` is accepted everywhere for interface stability; no current
-subcommand draws randomness (generation APIs take explicit seeds).
-`--jobs N` bounds worker parallelism; the work here is desk-scale, so one
-worker is used and output order is canonical regardless."""
+      or a search space over the enumeration cap)."""
 
 from __future__ import annotations
 
@@ -78,18 +73,10 @@ def _collection(path: str | None) -> SubgraphCollection:
     return SubgraphCollection.from_obj(_read_json(path))
 
 
-def _add_common(parser: argparse.ArgumentParser, takes_input: bool = True) -> None:
-    if takes_input:
-        parser.add_argument(
-            "input", nargs="?", default=None, help="JSON file ('-' or omit for stdin)"
-        )
-    parser.add_argument("--seed", type=int, default=None, help="random seed (reserved)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallelism bound")
-
-
-def _check_jobs(args: argparse.Namespace) -> None:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+def _add_input(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "input", nargs="?", default=None, help="JSON file ('-' or omit for stdin)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +152,19 @@ def _build_tom() -> argparse.ArgumentParser:
         "closure-vertices",
         "dual",
     ):
-        _add_common(sub.add_parser(name))
+        _add_input(sub.add_parser(name))
     p_delete = sub.add_parser("delete")
     p_delete.add_argument("--i", type=int, required=True, help="coordinate to drop")
-    _add_common(p_delete)
+    _add_input(p_delete)
     p_contract = sub.add_parser("contract")
     p_contract.add_argument("--j", type=int, required=True, help="direction to contract")
-    _add_common(p_contract)
+    _add_input(p_contract)
     p_elim = sub.add_parser("eliminate")
     p_elim.add_argument("--a", type=int, required=True, help="first type index (1-based)")
     p_elim.add_argument("--b", type=int, required=True, help="second type index (1-based)")
     p_elim.add_argument("--pos", type=int, required=True, help="position to eliminate at")
     p_elim.add_argument("--all", action="store_true", help="list every witness")
-    _add_common(p_elim)
+    _add_input(p_elim)
     return parser
 
 
@@ -225,14 +212,13 @@ def _build_subdiv() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--triangulation", action="store_true", help="require spanning trees"
     )
-    _add_common(p_check)
-    _add_common(sub.add_parser("from-tom"))
-    _add_common(sub.add_parser("to-tom"))
+    _add_input(p_check)
+    _add_input(sub.add_parser("from-tom"))
+    _add_input(sub.add_parser("to-tom"))
     p_enum = sub.add_parser("enumerate")
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--d", type=int, required=True)
     p_enum.add_argument("--count", action="store_true", help="print the count only")
-    _add_common(p_enum, takes_input=False)
     return parser
 
 
@@ -255,7 +241,6 @@ def _build_conjecture() -> argparse.ArgumentParser:
     p_probe = sub.add_parser("probe")
     p_probe.add_argument("--n", type=int, required=True)
     p_probe.add_argument("--d", type=int, required=True)
-    _add_common(p_probe, takes_input=False)
     return parser
 
 
@@ -276,8 +261,8 @@ def _build_cayley() -> argparse.ArgumentParser:
         prog="cayley", description="Planar picture of d=3 triangulations."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("render"))
-    _add_common(sub.add_parser("verify-transitions"))
+    _add_input(sub.add_parser("render"))
+    _add_input(sub.add_parser("verify-transitions"))
     return parser
 
 
@@ -303,7 +288,6 @@ def run(argv: Sequence[str]) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else 2
     try:
-        _check_jobs(args)
         return handler(args)
     except _VERIFY_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
 MAX_DIRECTIONS = 64
 
@@ -126,53 +126,7 @@ def _coord_str(mask: int, d: int) -> str:
 # types and semitypes
 
 
-@dataclass(frozen=True)
-class Type:
-    """An (n, d)-type: n nonempty subsets of {1, ..., d} as bitmasks."""
-
-    n: int
-    d: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _validate_dims(self.n, self.d)
-        if not isinstance(self.coords, tuple):
-            object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(self.coords)}")
-        for i, mask in enumerate(self.coords, start=1):
-            _validate_mask(mask, self.d, i, allow_empty=False)
-
-    @classmethod
-    def from_sets(cls, n: int, d: int, sets: Iterable[Iterable[int]]) -> "Type":
-        coords = tuple(mask_from_elements(s, d, i) for i, s in enumerate(sets, start=1))
-        return cls(n, d, coords)
-
-    @classmethod
-    def from_obj(cls, obj: object, d: int) -> "Type":
-        if not isinstance(obj, list) or not obj:
-            raise ValueError("a type is a nonempty array of coordinate arrays")
-        for i, coord in enumerate(obj, start=1):
-            if not isinstance(coord, list):
-                raise ValueError(f"coordinate {i} is not an array")
-            if not coord:
-                raise EmptyCoordinateError(i)
-        return cls.from_sets(len(obj), d, obj)
-
-    def to_obj(self) -> list[list[int]]:
-        return [list(elements_of(m)) for m in self.coords]
-
-    def coord_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(elements_of(m) for m in self.coords)
-
-    def to_semitype(self) -> "SemiType":
-        return SemiType(self.n, self.d, self.coords)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(_coord_str(m, self.d) for m in self.coords) + ")"
-
-    def __repr__(self) -> str:
-        return f"Type{self}"
+_S = TypeVar("_S", bound="SemiType")
 
 
 @dataclass(frozen=True)
@@ -183,6 +137,9 @@ class SemiType:
     d: int
     coords: tuple[int, ...]
 
+    # the one difference from Type, read by validation and by from_obj
+    _allow_empty = True
+
     def __post_init__(self) -> None:
         _validate_dims(self.n, self.d)
         if not isinstance(self.coords, tuple):
@@ -190,30 +147,37 @@ class SemiType:
         if len(self.coords) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(self.coords)}")
         for i, mask in enumerate(self.coords, start=1):
-            _validate_mask(mask, self.d, i, allow_empty=True)
+            _validate_mask(mask, self.d, i, allow_empty=self._allow_empty)
 
     @classmethod
-    def from_sets(cls, n: int, d: int, sets: Iterable[Iterable[int]]) -> "SemiType":
+    def from_sets(cls: type[_S], n: int, d: int, sets: Iterable[Iterable[int]]) -> _S:
         coords = tuple(mask_from_elements(s, d, i) for i, s in enumerate(sets, start=1))
         return cls(n, d, coords)
 
     @classmethod
-    def from_obj(cls, obj: object, d: int) -> "SemiType":
+    def from_obj(cls: type[_S], obj: object, d: int) -> _S:
         if not isinstance(obj, list) or not obj:
-            raise ValueError("a semitype is a nonempty array of coordinate arrays")
+            raise ValueError(
+                f"a {cls.__name__.lower()} is a nonempty array of coordinate arrays"
+            )
         for i, coord in enumerate(obj, start=1):
             if not isinstance(coord, list):
                 raise ValueError(f"coordinate {i} is not an array")
+            if not coord and not cls._allow_empty:
+                raise EmptyCoordinateError(i)
         return cls.from_sets(len(obj), d, obj)
 
     def to_obj(self) -> list[list[int]]:
         return [list(elements_of(m)) for m in self.coords]
 
+    def coord_sets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(elements_of(m) for m in self.coords)
+
     def is_total(self) -> bool:
         """True when no coordinate is empty, i.e. this is an honest type."""
         return all(self.coords)
 
-    def to_type(self) -> Type:
+    def to_type(self) -> "Type":
         for i, mask in enumerate(self.coords, start=1):
             if mask == 0:
                 raise EmptyCoordinateError(i)
@@ -223,7 +187,20 @@ class SemiType:
         return "(" + ",".join(_coord_str(m, self.d) for m in self.coords) + ")"
 
     def __repr__(self) -> str:
-        return f"SemiType{self}"
+        return f"{type(self).__name__}{self}"
+
+
+class Type(SemiType):
+    """An (n, d)-type: n nonempty subsets of {1, ..., d} as bitmasks.
+
+    A Type equals only Types: a SemiType with the same coordinates is a
+    different value, and it is not an instance of Type.
+    """
+
+    _allow_empty = False
+
+    def to_semitype(self) -> SemiType:
+        return SemiType(self.n, self.d, self.coords)
 
 
 def make_type(n: int, d: int, coords: Iterable[Iterable[int]]) -> Type:

@@ -8,6 +8,8 @@ import heapq
 import itertools
 from typing import Iterable
 
+import numpy as np
+
 from .core import (
     OrderedPartition,
     SearchSpaceTooLargeError,
@@ -15,7 +17,7 @@ from .core import (
     Type,
     elements_of,
 )
-from .axioms import _cg_has_cycle, ordered_partitions, refine
+from .axioms import _cycle_pairs, ordered_partitions, refine
 
 _RECONSTRUCT_CAP = 10**7
 
@@ -207,23 +209,20 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
             tbl[mask] = 1 << (best - 1)
         tables.append(tbl)
 
-    tope_coords = [t.coords for t in tope_set.types]
     masks = range(1, 1 << d)
-    kept = []
+    survivors = []
     for cand in itertools.product(masks, repeat=n):
-        ok = True
         for tbl in tables:
             if not tope_set.has_coords(tuple(tbl[m] for m in cand)):
-                ok = False
                 break
-        if not ok:
-            continue
-        for tc in tope_coords:
-            if _cg_has_cycle(cand, tc, d):
-                ok = False
-                break
-        if ok:
-            kept.append(Type(n, d, cand))
+        else:
+            survivors.append(cand)
+    kept = []
+    if survivors:
+        C = np.array(survivors, dtype=np.uint64)
+        T = np.array([t.coords for t in tope_set.types], dtype=np.uint64)
+        cyclic = _cycle_pairs(C[:, None, :], T[None, :, :], d).any(axis=1)
+        kept = [Type(n, d, c) for c, bad in zip(survivors, cyclic) if not bad]
     return TomTypeSet(n, d, tuple(kept))
 
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from tropom import (
     OrderedPartition,
     TomTypeSet,
+    Type,
+    arrangement_tom,
     check_axioms,
     check_comparability,
     comparability_graph,
@@ -14,9 +19,13 @@ from tropom import (
     find_directed_cycle,
     has_directed_cycle,
     ordered_partitions,
+    random_generic_arrangement,
+    reconstruct_from_topes,
     refine,
+    topes,
     total_refinements,
 )
+import tropom.axioms as axioms
 import oracles
 from helpers import T, prism_tom, typeset
 
@@ -85,6 +94,13 @@ def test_directed_two_cycle_is_found():
     assert walk is not None
     assert walk[0] == walk[-1]
     assert set(walk) == {1, 2}
+
+
+def test_walk_closes_first_one_way_arc_by_shortest_way_back():
+    # arcs 1->2, 2->3, 2->4, 3->1, 4->1: no two-cycle, two ways back from 2
+    g = comparability_graph(T(4, "1", "2", "34"), T(4, "2", "34", "1"))
+    assert g.directed == frozenset({(1, 2), (2, 3), (2, 4), (3, 1), (4, 1)})
+    assert find_directed_cycle(g) == [1, 2, 3, 1]
 
 
 def test_undirected_edges_alone_are_no_cycle():
@@ -167,3 +183,77 @@ def test_report_is_per_axiom_on_a_clean_failure():
     assert report.comparability_ok == oracles.comparability_ok(naive)
     assert report.surrounding_ok == oracles.surrounding_ok(naive, 2, 2)
     assert not report.ok
+
+
+def _random_coords(rng, n, d):
+    """Mostly singletons, so that many cycles need more than two arcs."""
+    full = (1 << d) - 1
+    pick = (
+        lambda: 1 << rng.randrange(d),
+        lambda: 1 << rng.randrange(d),
+        lambda: rng.randint(1, full),
+        lambda: full,
+    )
+    return tuple(rng.choice(pick)() for _ in range(n))
+
+
+def test_cycle_kernel_matches_naive_oracle(monkeypatch):
+    # a budget of a few pairs makes every call below run in many chunks
+    monkeypatch.setattr(axioms, "_PAIR_BUDGET", 7)
+    rng = random.Random(20070)
+    for d in range(2, 8):
+        for n in (1, 2, 3, 5):
+            pairs = []
+            for _ in range(60):
+                a = _random_coords(rng, n, d)
+                pairs.append((a, a if rng.random() < 0.2 else _random_coords(rng, n, d)))
+            full = ((1 << d) - 1,) * n
+            pairs += [(full, full), (full, pairs[0][1]), (pairs[0][0], full)]
+            A = np.array([a for a, _ in pairs], dtype=np.uint64)
+            B = np.array([b for _, b in pairs], dtype=np.uint64)
+            got = axioms._cycle_pairs(A, B, d)
+            for (a, b), verdict in zip(pairs, got):
+                naive = oracles.has_bad_cycle(
+                    oracles.as_naive(Type(n, d, a)), oracles.as_naive(Type(n, d, b))
+                )
+                assert bool(verdict) == naive, (d, a, b)
+            # every row against every row agrees with the same pairs listed flat
+            grid = axioms._cycle_pairs(A[:12, None, :], B[None, :12, :], d)
+            flat = axioms._cycle_pairs(np.repeat(A[:12], 12, axis=0), np.tile(B[:12], (12, 1)), d)
+            assert (grid == flat.reshape(12, 12)).all()
+
+
+def test_comparability_witnesses_are_closed_walks():
+    rng = random.Random(4242)
+    seen = 0
+    for trial in range(40):
+        d = rng.randint(2, 5)
+        n = rng.randint(1, 4)
+        m = TomTypeSet.from_types(
+            Type(n, d, _random_coords(rng, n, d)) for _ in range(rng.randint(2, 25))
+        )
+        ok, failures = check_comparability(m)
+        pairs = [(a, b) for a, b, _ in failures]
+        assert pairs == sorted(pairs, key=lambda p: (p[0].coords, p[1].coords))
+        naive = {
+            (a, b)
+            for i, a in enumerate(m.types)
+            for b in m.types[i:]
+            if oracles.has_bad_cycle(oracles.as_naive(a), oracles.as_naive(b))
+        }
+        assert set(pairs) == naive
+        assert ok == (not naive)
+        for a, b, walk in failures:
+            g = comparability_graph(a, b)
+            arcs = g.arcs()
+            assert len(walk) >= 3 and walk[0] == walk[-1]
+            assert (walk[0], walk[1]) in g.directed
+            assert all(w in arcs[v] for v, w in zip(walk, walk[1:]))
+            seen += 1
+    assert seen > 0
+
+
+@pytest.mark.parametrize("n,d,seed", [(3, 4, 1), (3, 4, 2), (2, 5, 3), (2, 5, 4)])
+def test_reconstruct_from_topes_is_identity(n, d, seed):
+    m = arrangement_tom(random_generic_arrangement(n, d, seed=seed))
+    assert reconstruct_from_topes(TomTypeSet(n, d, tuple(topes(m)))) == m

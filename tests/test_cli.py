@@ -185,17 +185,6 @@ def test_usage_errors_exit_two(monkeypatch, capsys):
     assert invoke(monkeypatch, capsys, ["tom", "frobnicate"], "")[0] == 2
     assert invoke(monkeypatch, capsys, ["nonsense"], "")[0] == 2
     assert invoke(monkeypatch, capsys, ["tom", "check", "/no/such/file.json"])[0] == 2
-    assert (
-        invoke(monkeypatch, capsys, ["tom", "check", "--jobs", "0"], PRISM_JSON)[0] == 2
-    )
-
-
-def test_seed_and_jobs_are_accepted(monkeypatch, capsys):
-    code, out, _ = invoke(
-        monkeypatch, capsys, ["tom", "check", "--seed", "5", "--jobs", "2"], PRISM_JSON
-    )
-    assert code == 0
-    assert json.loads(out)["ok"] is True
 
 
 def test_console_entry_points_exist():

@@ -79,6 +79,20 @@ def test_semitype_allows_and_reports_empties():
     assert t.to_type() == T(3, "23", "1")
 
 
+def test_type_and_semitype_stay_distinct_values():
+    t, s = Type(2, 3, (0b110, 0b1)), SemiType(2, 3, (0b110, 0b1))
+    assert t != s and s != t
+    assert not isinstance(s, Type)
+    assert (repr(t), repr(s)) == ("Type(23,1)", "SemiType(23,1)")
+    assert SemiType.from_obj([[2, 3], []], 3) == SemiType(2, 3, (0b110, 0))
+    with pytest.raises(EmptyCoordinateError):
+        Type.from_obj([[2, 3], []], 3)
+    with pytest.raises(ValueError, match="^a type is"):
+        Type.from_obj([], 3)
+    with pytest.raises(ValueError, match="^a semitype is"):
+        SemiType.from_obj([], 3)
+
+
 def test_ordered_partition_validation():
     p = OrderedPartition.from_sets(3, [[2], [1, 3]])
     assert str(p) == "(2|13)"
