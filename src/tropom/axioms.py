@@ -11,8 +11,17 @@ A type set is a tropical oriented matroid when it satisfies:
 * surrounding   — every refinement of a member is a member.
 
 ``check_axioms`` sweeps all four and returns a report carrying witnesses for
-whatever failed.  The elimination quantifier runs over all pairs of types
-with numpy.
+whatever failed.  All sweeps work on raw coordinate masks; ``Type`` objects
+are only looked up for the witnesses.
+
+Elimination and comparability are symmetric in A and B, so both visit only
+the pairs a < b, in row chunks of at most ``_PAIR_BUDGET`` pairs
+(``_upper_pairs``).  Elimination indexes the set by (position, mask value)
+as packed uint64 bitsets over the types: the candidates C for a pair are the
+AND over positions of three bitsets, and a witness at position j exists
+exactly when that AND meets the bitset of A_j ∪ B_j.  Positions where A_j
+and B_j are comparable need no check, because A or B is a witness there.
+The stored failures are capped at ``_MAX_ELIMINATION_FAILURES``.
 
 Comparability has one verdict and one witness.  The verdict is the private
 kernel ``_cycle_pairs``: for many pairs at once it packs, per direction, the
@@ -22,6 +31,13 @@ closed by a path back.  Both ``check_comparability`` and
 ``structure.reconstruct_from_topes`` call it.  The witness is
 ``find_directed_cycle`` on the explicit ``comparability_graph``, run only
 for the pairs the kernel flagged.
+
+Refining along (P1|…|Pk) is refining in turn along the two-block partitions
+whose later block is Pk, then P(k-1), down to P2.  So a set is closed under
+refinement, and satisfies surrounding, exactly when it is closed under the
+2^d - 2 two-block refinements (``_two_block_refinements``).  The surrounding
+verdict and ``structure.refinement_closure`` use those alone; the witnesses
+of a failing set are still listed over every ordered partition.
 """
 
 from __future__ import annotations
@@ -29,6 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -44,14 +61,27 @@ from .core import (
 
 _MAX_PARTITION_DIRECTIONS = 6
 _MAX_PERMUTATION_DIRECTIONS = 8
+_MAX_TWO_BLOCK_DIRECTIONS = 16
 _PAIR_BUDGET = 1 << 14
+_MAX_ELIMINATION_FAILURES = 10**5
 
 
 # ---------------------------------------------------------------------------
 # refinement
 
 
-@lru_cache(maxsize=1 << 18)
+def _refine_coords(coords: tuple[int, ...], parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Each coordinate intersected with the last part it meets."""
+    out = []
+    for mask in coords:
+        for part in reversed(parts):
+            hit = mask & part
+            if hit:
+                out.append(hit)
+                break
+    return tuple(out)
+
+
 def refine(a: Type, p: OrderedPartition) -> Type:
     """Refine a type along an ordered partition.
 
@@ -60,14 +90,22 @@ def refine(a: Type, p: OrderedPartition) -> Type:
     """
     if p.d != a.d:
         raise ValueError(f"partition of {p.d} directions against a d={a.d} type")
-    coords = []
-    for mask in a.coords:
-        for part in reversed(p.parts):
-            hit = mask & part
-            if hit:
-                coords.append(hit)
-                break
-    return Type(a.n, a.d, tuple(coords))
+    return Type(a.n, a.d, _refine_coords(a.coords, p.parts))
+
+
+def _two_block_refinements(coords: tuple[int, ...], d: int) -> Iterator[tuple[int, ...]]:
+    """The coordinates refined along each two-block partition (rest | L).
+
+    L runs over the 2^d - 2 nonempty proper subsets of the directions; a
+    coordinate c becomes c & L when that is nonempty and stays c otherwise.
+    Every refinement along an ordered partition is a sequence of these.
+    """
+    if d > _MAX_TWO_BLOCK_DIRECTIONS:
+        raise SearchSpaceTooLargeError(
+            f"two-block partitions of {d} directions exceed the enumeration cap"
+        )
+    for later in range(1, (1 << d) - 1):
+        yield tuple(c & later or c for c in coords)
 
 
 def total_refinements(a: Type) -> frozenset[Type]:
@@ -246,6 +284,7 @@ class AxiomReport:
     boundary_missing: tuple[int, ...]
     elimination_ok: bool
     elimination_failures: tuple[tuple[Type, Type, int], ...]
+    elimination_total: int
     comparability_ok: bool
     comparability_failures: tuple[tuple[Type, Type, tuple[int, ...]], ...]
     surrounding_ok: bool
@@ -261,6 +300,16 @@ class AxiomReport:
         )
 
     def to_obj(self) -> dict:
+        elimination = {
+            "ok": self.elimination_ok,
+            "violations": [
+                {"a": a.to_obj(), "b": b.to_obj(), "position": j}
+                for a, b, j in self.elimination_failures
+            ],
+        }
+        if self.elimination_total > len(self.elimination_failures):
+            elimination["total"] = self.elimination_total
+            elimination["truncated"] = True
         return {
             "ok": self.ok,
             "n": self.n,
@@ -270,13 +319,7 @@ class AxiomReport:
                 "ok": self.boundary_ok,
                 "missing_directions": list(self.boundary_missing),
             },
-            "elimination": {
-                "ok": self.elimination_ok,
-                "violations": [
-                    {"a": a.to_obj(), "b": b.to_obj(), "position": j}
-                    for a, b, j in self.elimination_failures
-                ],
-            },
+            "elimination": elimination,
             "comparability": {
                 "ok": self.comparability_ok,
                 "violations": [
@@ -325,58 +368,142 @@ def check_boundary(m: TomTypeSet) -> tuple[bool, tuple[int, ...]]:
     return not missing, missing
 
 
-def check_elimination(m: TomTypeSet) -> tuple[bool, tuple[tuple[Type, Type, int], ...]]:
-    k = len(m.types)
-    if k == 0:
-        return True, ()
-    M = np.array([t.coords for t in m.types], dtype=np.uint64)  # (k, n)
-    # eq_bb[b, c, i]: M[c, i] == M[b, i], shared across all rows a
-    eq_bb = M[None, :, :] == M[:, None, :]
-    failures: list[tuple[Type, Type, int]] = []
-    for a in range(k):
-        union = M[a][None, :] | M  # (k, n): union[b, i] = A_i | B_i
-        eq_a = M == M[a][None, :]  # (k, n): eq_a[c, i]
-        eq_u = M[None, :, :] == union[:, None, :]  # (k, k, n): eq_u[b, c, i]
-        ok = (eq_a[None, :, :] | eq_bb | eq_u).all(axis=2)  # (k, k): ok[b, c]
-        sat = (ok[:, :, None] & eq_u).any(axis=1)  # (k, n): sat[b, j]
-        for b, j in zip(*np.nonzero(~sat)):
-            failures.append((m.types[a], m.types[int(b)], int(j) + 1))
-    return not failures, tuple(failures)
+def _masks(m: TomTypeSet) -> np.ndarray:
+    """The coordinate masks of the set's types, shape (K, n)."""
+    return np.array([t.coords for t in m.types], dtype=np.uint64).reshape(-1, m.n)
+
+
+def _upper_pairs(k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Index arrays (a, b) of the pairs a < b < k in row-major order.
+
+    Pairs come in chunks of whole rows, at most _PAIR_BUDGET pairs at a time
+    unless one row alone holds more.
+    """
+    ends = np.cumsum(np.arange(k - 1, 0, -1))  # ends[r]: pairs in rows 0..r
+    a0 = done = 0
+    while a0 < k - 1:
+        a1 = max(a0 + 1, int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")))
+        rows = np.arange(a0, a1)
+        lens = k - 1 - rows
+        a = np.repeat(rows, lens)
+        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(lens) - lens, lens)
+        yield a, b
+        a0, done = a1, int(ends[a1 - 1])
+
+
+def check_elimination(
+    m: TomTypeSet,
+) -> tuple[bool, tuple[tuple[Type, Type, int], ...], int]:
+    """The elimination verdict, its failures and their number.
+
+    A failure (A, B, j) is listed in both orders, sorted by the indices of
+    A and B in the set and by j; only the first _MAX_ELIMINATION_FAILURES
+    are kept, and the number returned counts all of them.
+    """
+    k, n = len(m.types), m.n
+    M = _masks(m)
+    # one bitset row per (position i, value at i); rank[c, i] is the row of
+    # type c's value, values[i] locates other values, the last row is empty
+    rank = np.empty((k, n), dtype=np.intp)
+    values = []
+    rows = 0
+    for i in range(n):
+        vals, inv = np.unique(M[:, i], return_inverse=True)
+        values.append((vals, rows))
+        rank[:, i] = rows + inv.reshape(-1)
+        rows += len(vals)
+    bitsets = np.zeros((rows + 1, (k + 63) // 64), dtype=np.uint64)
+    t = np.arange(k)
+    np.bitwise_or.at(
+        bitsets,
+        (rank, (t >> 6)[:, None]),
+        np.left_shift(np.uint64(1), (t & 63).astype(np.uint64))[:, None],
+    )
+
+    def rank_of(v: np.ndarray, i: int) -> np.ndarray:
+        vals, start = values[i]
+        pos = np.minimum(np.searchsorted(vals, v), len(vals) - 1)
+        return np.where(vals[pos] == v, start + pos, rows)
+
+    total = 0
+    kept = np.empty(0, dtype=np.int64)  # keys (a * k + b) * n + position - 1
+    for a, b in _upper_pairs(k):
+        A, B = M[a], M[b]
+        # where A_j and B_j are comparable, A or B is a witness at j
+        incomparable = ((A & ~B) != 0) & ((B & ~A) != 0)
+        some = incomparable.any(axis=1)
+        a, b, A, B = a[some], b[some], A[some], B[some]
+        incomparable = incomparable[some]
+        U = A | B
+        ru = np.stack([rank_of(U[:, i], i) for i in range(n)], axis=1)
+        # cands[p]: the C with every C_i in {A_i, B_i, A_i | B_i}
+        cands = bitsets[rank[a, 0]] | bitsets[rank[b, 0]] | bitsets[ru[:, 0]]
+        for i in range(1, n):
+            cands &= bitsets[rank[a, i]] | bitsets[rank[b, i]] | bitsets[ru[:, i]]
+        fail = np.zeros_like(incomparable)
+        for j in range(n):
+            p = np.flatnonzero(incomparable[:, j])
+            fail[p, j] = ~(cands[p] & bitsets[ru[p, j]]).any(axis=1)
+        p, j = np.nonzero(fail)
+        total += 2 * len(p)
+        a, b = a[p].astype(np.int64), b[p].astype(np.int64)
+        kept = np.concatenate([kept, (a * k + b) * n + j, (b * k + a) * n + j])
+        if len(kept) > 2 * _MAX_ELIMINATION_FAILURES:
+            # the failures beyond the cap-th smallest can never be reported
+            kept = np.partition(kept, _MAX_ELIMINATION_FAILURES - 1)
+            kept = kept[:_MAX_ELIMINATION_FAILURES]
+    kept = np.sort(kept)[:_MAX_ELIMINATION_FAILURES]
+    ab, j = np.divmod(kept, n)
+    a, b = np.divmod(ab, k)
+    failures = tuple(
+        (m.types[x], m.types[y], z + 1)
+        for x, y, z in zip(a.tolist(), b.tolist(), j.tolist())
+    )
+    return total == 0, failures, total
 
 
 def check_comparability(
     m: TomTypeSet,
 ) -> tuple[bool, tuple[tuple[Type, Type, tuple[int, ...]], ...]]:
-    if not m.types:
-        return True, ()
-    M = np.array([t.coords for t in m.types], dtype=np.uint64)
-    bad = _cycle_pairs(M[:, None, :], M[None, :, :], m.d)
-    # the graph of (b, a) is the graph of (a, b) reversed: keep a <= b
+    M = _masks(m)
+    # the graph of (b, a) is the graph of (a, b) reversed, and the graph of
+    # (a, a) has no one-way arc: check a < b only
     failures = []
-    for a, b in zip(*np.nonzero(np.triu(bad))):
-        ta, tb = m.types[a], m.types[b]
-        cycle = find_directed_cycle(comparability_graph(ta, tb))
-        failures.append((ta, tb, tuple(cycle or ())))
+    for a, b in _upper_pairs(len(m.types)):
+        bad = _cycle_pairs(M[a], M[b], m.d)
+        for x, y in zip(a[bad].tolist(), b[bad].tolist()):
+            ta, tb = m.types[x], m.types[y]
+            cycle = find_directed_cycle(comparability_graph(ta, tb))
+            failures.append((ta, tb, tuple(cycle or ())))
     return not failures, tuple(failures)
 
 
 def check_surrounding(
     m: TomTypeSet,
 ) -> tuple[bool, tuple[tuple[Type, OrderedPartition], ...]]:
+    """The surrounding verdict and every failing (type, ordered partition).
+
+    The verdict needs the two-block refinements only; the full list over
+    ordered_partitions is built when it fails.
+    """
+    if all(
+        m.has_coords(r) for t in m.types for r in _two_block_refinements(t.coords, m.d)
+    ):
+        return True, ()
     parts = ordered_partitions(m.d)
-    failures: list[tuple[Type, OrderedPartition]] = []
-    for t in m.types:
-        for p in parts:
-            r = refine(t, p)
-            if not m.has_coords(r.coords):
-                failures.append((t, p))
-    return not failures, tuple(failures)
+    failures = tuple(
+        (t, p)
+        for t in m.types
+        for p in parts
+        if not m.has_coords(_refine_coords(t.coords, p.parts))
+    )
+    return False, failures
 
 
 def check_axioms(m: TomTypeSet) -> AxiomReport:
     """Run all four axioms over a type set and report witnesses."""
     b_ok, b_missing = check_boundary(m)
-    e_ok, e_fail = check_elimination(m)
+    e_ok, e_fail, e_total = check_elimination(m)
     c_ok, c_fail = check_comparability(m)
     s_ok, s_fail = check_surrounding(m)
     return AxiomReport(
@@ -387,6 +514,7 @@ def check_axioms(m: TomTypeSet) -> AxiomReport:
         boundary_missing=b_missing,
         elimination_ok=e_ok,
         elimination_failures=e_fail,
+        elimination_total=e_total,
         comparability_ok=c_ok,
         comparability_failures=c_fail,
         surrounding_ok=s_ok,

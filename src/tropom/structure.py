@@ -17,9 +17,10 @@ from .core import (
     Type,
     elements_of,
 )
-from .axioms import _cycle_pairs, ordered_partitions, refine
+from .axioms import _cycle_pairs, _masks, _two_block_refinements
 
 _RECONSTRUCT_CAP = 10**7
+_CANDIDATE_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -153,26 +154,26 @@ def is_refinement_of(b: Type, a: Type) -> OrderedPartition | None:
 
 
 def refinement_closure(seeds: TomTypeSet | Iterable[Type]) -> TomTypeSet:
-    """Close a collection of types under refinement by ordered partitions."""
-    if isinstance(seeds, TomTypeSet):
-        pool = list(seeds.types)
-        n, d = seeds.n, seeds.d
-    else:
-        pool = list(seeds)
+    """Close a collection of types under refinement by ordered partitions.
+
+    Every refinement is a sequence of two-block refinements, so this is a
+    worklist over raw coordinate tuples that adds the 2^d - 2 two-block
+    refinements of each new tuple; the types are built once, at the end.
+    """
+    if not isinstance(seeds, TomTypeSet):
+        pool = tuple(seeds)
         if not pool:
             raise ValueError("cannot close an empty collection")
-        n, d = pool[0].n, pool[0].d
-    parts = ordered_partitions(d)
-    seen = {t.coords: t for t in pool}
-    work = list(pool)
+        seeds = TomTypeSet.from_types(pool)
+    n, d = seeds.n, seeds.d
+    seen = {t.coords for t in seeds}
+    work = list(seen)
     while work:
-        t = work.pop()
-        for p in parts:
-            r = refine(t, p)
-            if r.coords not in seen:
-                seen[r.coords] = r
+        for r in _two_block_refinements(work.pop(), d):
+            if r not in seen:
+                seen.add(r)
                 work.append(r)
-    return TomTypeSet(n, d, tuple(seen.values()))
+    return TomTypeSet(n, d, tuple(Type(n, d, c) for c in seen))
 
 
 # ---------------------------------------------------------------------------
@@ -184,45 +185,50 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
 
     A candidate survives when every one of its total refinements is a given
     tope and its comparability graph against every tope is acyclic.  The
-    full candidate space (2^d - 1)^n is scanned, with the refinement test
-    (table-driven) applied first.
+    full candidate space (2^d - 1)^n is scanned in chunks of
+    _CANDIDATE_CHUNK candidates, with the refinement test (one lookup table
+    per linear order on the directions) applied first.
     """
     n, d = tope_set.n, tope_set.d
     for t in tope_set:
         if not is_tope(t):
             raise ValueError(f"not a tope: {t}")
-    space = ((1 << d) - 1) ** n
+    base = (1 << d) - 1
+    space = base**n
     if space > _RECONSTRUCT_CAP:
         raise SearchSpaceTooLargeError(
             f"candidate space {space} exceeds {_RECONSTRUCT_CAP}"
         )
 
-    # best[mask] under a linear order = bitmask of the order-latest element
-    tables = []
-    for perm in itertools.permutations(range(1, d + 1)):
-        rank = [0] * (d + 1)
-        for r, j in enumerate(perm):
-            rank[j] = r
-        tbl = [0] * (1 << d)
-        for mask in range(1, 1 << d):
-            best = max(elements_of(mask), key=lambda j: rank[j])
-            tbl[mask] = 1 << (best - 1)
-        tables.append(tbl)
+    # a tope is coded by the 0-based directions of its coordinates in base d
+    is_given = np.zeros(d**n, dtype=bool)
+    for t in tope_set:
+        is_given[sum((c.bit_length() - 1) * d**i for i, c in enumerate(t.coords))] = True
+    place = d ** np.arange(n)
+    # latest[mask] under a linear order = the order-latest direction of mask
+    masks = np.arange(1 << d)
+    member = (masks[:, None] >> np.arange(d)) & 1 == 1
+    tables = [
+        np.where(member, rank, -1).argmax(axis=1)
+        for rank in map(np.argsort, itertools.permutations(range(d)))
+    ]
 
-    masks = range(1, 1 << d)
     survivors = []
-    for cand in itertools.product(masks, repeat=n):
-        for tbl in tables:
-            if not tope_set.has_coords(tuple(tbl[m] for m in cand)):
+    digits = base ** np.arange(n - 1, -1, -1)
+    for start in range(0, space, _CANDIDATE_CHUNK):
+        q = np.arange(start, min(start + _CANDIDATE_CHUNK, space))
+        cand = q[:, None] // digits % base + 1  # itertools.product order
+        for latest in tables:
+            cand = cand[is_given[latest[cand] @ place]]
+            if not len(cand):
                 break
-        else:
-            survivors.append(cand)
+        survivors.append(cand)
+    C = np.concatenate(survivors).astype(np.uint64)
     kept = []
-    if survivors:
-        C = np.array(survivors, dtype=np.uint64)
-        T = np.array([t.coords for t in tope_set.types], dtype=np.uint64)
+    if len(C):
+        T = _masks(tope_set)
         cyclic = _cycle_pairs(C[:, None, :], T[None, :, :], d).any(axis=1)
-        kept = [Type(n, d, c) for c, bad in zip(survivors, cyclic) if not bad]
+        kept = [Type(n, d, tuple(c)) for c in C[~cyclic].tolist()]
     return TomTypeSet(n, d, tuple(kept))
 
 

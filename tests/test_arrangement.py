@@ -16,7 +16,9 @@ from tropom import (
     eliminate_points_all,
     enumerate_vertex_types,
     is_generic,
+    random_arrangement,
     random_generic_arrangement,
+    refinement_closure,
     type_of_point,
     vertex_points,
     vertices,
@@ -163,3 +165,18 @@ def test_arrangement_tom_passes_axioms_generically():
     for seed in (1, 2):
         arr = random_generic_arrangement(3, 3, seed=seed)
         assert check_axioms(arrangement_tom(arr)).ok
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4)])
+def test_degenerate_arrangements_satisfy_the_axioms(n, d):
+    # apex entries in {-1, 0, 1}: walls meet in non-generic ways, apexes
+    # may coincide
+    rng = random.Random(100 * n + d)
+    for _ in range(8):
+        arr = random_arrangement(n, d, rng, bound=1)
+        m = arrangement_tom(arr)
+        assert check_axioms(m).ok
+        assert refinement_closure(vertices(m)) == m
+        for _ in range(5):
+            x = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(d)]
+            assert type_of_point(arr, x) in m

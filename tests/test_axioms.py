@@ -9,19 +9,23 @@ import pytest
 
 from tropom import (
     OrderedPartition,
+    SearchSpaceTooLargeError,
     TomTypeSet,
     Type,
     arrangement_tom,
     check_axioms,
     check_comparability,
+    check_surrounding,
     comparability_graph,
     elimination_witnesses,
     find_directed_cycle,
     has_directed_cycle,
+    is_tope,
     ordered_partitions,
     random_generic_arrangement,
     reconstruct_from_topes,
     refine,
+    refinement_closure,
     topes,
     total_refinements,
 )
@@ -257,3 +261,143 @@ def test_comparability_witnesses_are_closed_walks():
 def test_reconstruct_from_topes_is_identity(n, d, seed):
     m = arrangement_tom(random_generic_arrangement(n, d, seed=seed))
     assert reconstruct_from_topes(TomTypeSet(n, d, tuple(topes(m)))) == m
+
+
+def _staircase_tom(d):
+    """The type set of a staircase triangulation of two simplices: the
+    refinement closure of its vertices ({1..k}, {k..d}), k = 1..d."""
+    full = (1 << d) - 1
+    return refinement_closure(
+        [Type(2, d, ((1 << k) - 1, full & ~((1 << (k - 1)) - 1))) for k in range(1, d + 1)]
+    )
+
+
+def _axiom_cases(rng):
+    """Seeded type sets with d from 2 to 6: valid sets, each also with some
+    types removed and with five types traded for foreign ones (the full
+    one-hyperplane set has no foreign types to add), and random sets."""
+    valid = [
+        arrangement_tom(random_generic_arrangement(n, d, seed=s))
+        for n, d, s in [(3, 2, 1), (2, 3, 2), (5, 3, 5), (2, 4, 4)]
+    ]
+    valid += [_staircase_tom(5), refinement_closure([Type(1, 6, (0b111111,))])]
+    assert len(valid[2]) > 64  # bitsets of several words
+    cases = list(valid)
+    for m in valid:
+        kept = [t for t in m.types if rng.random() > 0.1]
+        cases.append(TomTypeSet(m.n, m.d, tuple(kept)))
+        foreign = [Type(m.n, m.d, _random_coords(rng, m.n, m.d)) for _ in range(3)]
+        cases.append(TomTypeSet(m.n, m.d, m.types[5:] + tuple(foreign)))
+    for d in range(2, 7):
+        n = rng.randint(1, 3)
+        cases.append(
+            TomTypeSet.from_types(Type(n, d, _random_coords(rng, n, d)) for _ in range(30))
+        )
+    return cases
+
+
+@pytest.mark.parametrize("k,budget", [(0, 7), (1, 7), (2, 7), (12, 7), (12, 30), (40, 1 << 14)])
+def test_upper_pairs_cover_each_pair_once_in_whole_rows(monkeypatch, k, budget):
+    monkeypatch.setattr(axioms, "_PAIR_BUDGET", budget)
+    chunks = list(axioms._upper_pairs(k))
+    a = np.concatenate([a for a, _ in chunks]) if chunks else np.empty(0)
+    b = np.concatenate([b for _, b in chunks]) if chunks else np.empty(0)
+    rows, cols = np.triu_indices(k, 1)
+    assert (a == rows).all() and (b == cols).all() and len(a) == len(rows)
+    for ca, _ in chunks:
+        whole_rows = {int(r) for r in ca}
+        assert len(ca) == sum(k - 1 - r for r in whole_rows)
+        assert len(ca) <= budget or len(whole_rows) == 1
+        if ca[-1] < k - 2:  # a chunk stops only where the next row overflows
+            assert len(ca) + k - 2 - ca[-1] > budget
+
+
+def _naive_elimination_failures(m):
+    """Every failing (A, B, j) in both orders, sorted by set order and j:
+    plain loops over the pairs A before B, the condition being symmetric."""
+    found = []
+    for x, a in enumerate(m.types):
+        for y in range(x + 1, len(m.types)):
+            b = m.types[y]
+            allowed = [(ak, bk, ak | bk) for ak, bk in zip(a.coords, b.coords)]
+            cands = [
+                c.coords
+                for c in m.types
+                if all(ck in al for ck, al in zip(c.coords, allowed))
+            ]
+            for j in range(m.n):
+                if not any(c[j] == allowed[j][2] for c in cands):
+                    found += [(x, y, j + 1), (y, x, j + 1)]
+    return [(m.types[x], m.types[y], j) for x, y, j in sorted(found)]
+
+
+def test_elimination_failures_match_naive_loops(monkeypatch):
+    broken = 0
+    for m in _axiom_cases(random.Random(31)):
+        if len(m) > 100:
+            continue  # the loops below take cubic time
+        expected = _naive_elimination_failures(m)
+        naive = {oracles.as_naive(t) for t in m}
+        assert (not expected) == oracles.elimination_ok(naive, m.n, m.d), m
+        # a budget of 7 pairs makes every sweep run in many chunks
+        for budget in (axioms._PAIR_BUDGET, 7):
+            monkeypatch.setattr(axioms, "_PAIR_BUDGET", budget)
+            ok, failures, total = axioms.check_elimination(m)
+            assert ok == (not expected)
+            assert list(failures) == expected
+            assert total == len(expected)
+        broken += bool(expected)
+    assert broken >= 5
+
+
+def test_elimination_report_is_capped(monkeypatch):
+    m = TomTypeSet.from_types(t for t in prism_tom() if t.coords[0] != 0b111)
+    full = _naive_elimination_failures(m)
+    assert len(full) > 12
+    obj = check_axioms(m).to_obj()["elimination"]
+    assert sorted(obj) == ["ok", "violations"]
+    # a budget of 7 pairs prunes the stored failures between chunks
+    monkeypatch.setattr(axioms, "_PAIR_BUDGET", 7)
+    monkeypatch.setattr(axioms, "_MAX_ELIMINATION_FAILURES", 5)
+    ok, failures, total = axioms.check_elimination(m)
+    assert not ok
+    assert list(failures) == full[:5]
+    assert total == len(full)
+    obj = check_axioms(m).to_obj()["elimination"]
+    assert len(obj["violations"]) == 5
+    assert obj["total"] == len(full)
+    assert obj["truncated"] is True
+
+
+def test_surrounding_matches_naive_oracle():
+    for m in _axiom_cases(random.Random(32)):
+        ok, failures = check_surrounding(m)
+        naive = {oracles.as_naive(t) for t in m}
+        assert ok == oracles.surrounding_ok(naive, m.n, m.d), m
+        if ok or m.d > 4:
+            assert ok == (not failures)
+            continue
+        # the witnesses are every failing ordered partition, type by type
+        expected = {
+            (t, OrderedPartition.from_sets(m.d, parts))
+            for t in m.types
+            for parts in oracles.ordered_set_partitions(frozenset(range(1, m.d + 1)))
+            if oracles.refine_naive(oracles.as_naive(t), parts) not in naive
+        }
+        assert set(failures) == expected
+        assert len(failures) == len(expected)
+        order = [m.types.index(t) for t, _ in failures]
+        assert order == sorted(order)
+
+
+def test_seven_directions_close_and_pass_surrounding():
+    m = _staircase_tom(7)
+    assert len(m) == 769
+    assert check_surrounding(m) == (True, ())
+    assert check_axioms(m).ok
+    subsets = refinement_closure([Type(1, 7, (0b1111111,))])
+    assert len(subsets) == 127
+    assert check_axioms(subsets).ok
+    # a failing set with d > 6 still has its witnesses refused
+    with pytest.raises(SearchSpaceTooLargeError):
+        check_surrounding(TomTypeSet.from_types(t for t in m if not is_tope(t)))

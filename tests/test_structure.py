@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from tropom import (
     OrderedPartition,
     SearchSpaceTooLargeError,
     TomTypeSet,
+    Type,
     check_axioms,
     contract,
     contraction_relabeling,
@@ -24,6 +27,8 @@ from tropom import (
     topes,
     vertices,
 )
+import tropom.structure as structure
+import oracles
 from helpers import T, prism_tom, typeset, PRISM_TOPES, PRISM_VERTICES
 
 
@@ -77,9 +82,50 @@ def test_refinement_closure_of_vertices_is_the_prism():
     assert refinement_closure(m) == m
 
 
+def _naive_closure(seeds, d):
+    """Closure under refine_naive over every ordered set partition."""
+    partitions = list(oracles.ordered_set_partitions(frozenset(range(1, d + 1))))
+    seen = set(seeds)
+    work = list(seen)
+    while work:
+        a = work.pop()
+        for parts in partitions:
+            r = oracles.refine_naive(a, parts)
+            if r not in seen:
+                seen.add(r)
+                work.append(r)
+    return seen
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 3), (4, 2), (5, 2), (6, 1)])
+def test_refinement_closure_matches_naive_oracle(d, n):
+    rng = random.Random(10 * d + n)
+    for _ in range(3):
+        seeds = [
+            Type(n, d, tuple(rng.randint(1, (1 << d) - 1) for _ in range(n)))
+            for _ in range(2)
+        ]
+        closed = refinement_closure(seeds)
+        assert {oracles.as_naive(t) for t in closed} == _naive_closure(
+            {oracles.as_naive(t) for t in seeds}, d
+        )
+        assert refinement_closure(closed) == closed
+
+
 def test_reconstruct_from_topes_recovers_the_prism():
     m = prism_tom()
     assert reconstruct_from_topes(TomTypeSet.from_types(topes(m))) == m
+
+
+def test_reconstruct_from_topes_is_the_same_in_small_chunks(monkeypatch):
+    m = prism_tom()
+    cases = [
+        TomTypeSet.from_types(topes(m)),
+        TomTypeSet.from_types(t for t in topes(m) if t != T(3, "2", "2")),
+    ]
+    whole = [reconstruct_from_topes(c) for c in cases]
+    monkeypatch.setattr(structure, "_CANDIDATE_CHUNK", 7)
+    assert [reconstruct_from_topes(c) for c in cases] == whole
 
 
 def test_reconstruct_rejects_non_topes():
@@ -93,6 +139,11 @@ def test_reconstruct_caps_the_search_space():
     )
     with pytest.raises(SearchSpaceTooLargeError):
         reconstruct_from_topes(big)
+
+
+def test_closure_caps_the_two_block_partitions():
+    with pytest.raises(SearchSpaceTooLargeError):
+        refinement_closure([Type(1, 17, ((1 << 17) - 1,))])
 
 
 def test_delete_drops_a_hyperplane():
