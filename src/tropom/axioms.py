@@ -21,14 +21,14 @@ as packed uint64 bitsets over the types: the candidates C for a pair are the
 AND over positions of three bitsets, and a witness at position j exists
 exactly when that AND meets the bitset of A_j ∪ B_j.  Positions where A_j
 and B_j are comparable need no check, because A or B is a witness there.
-The stored failures are capped at ``_MAX_ELIMINATION_FAILURES``.
 
 Comparability has one verdict and one witness.  The verdict is the private
 kernel ``_cycle_pairs``: for many pairs at once it packs, per direction, the
 heads of all arcs and of the one-way arcs into bitmasks, closes the arcs by
 Warshall over the d bit rows, and flags a pair when some one-way arc is
-closed by a path back.  Both ``check_comparability`` and
-``structure.reconstruct_from_topes`` call it.  The witness is
+closed by a path back.  ``check_comparability``,
+``structure.reconstruct_from_topes`` and, on the left rows of cells, the
+alternating-cycle condition of ``subdivision`` call it.  The witness is
 ``find_directed_cycle`` on the explicit ``comparability_graph``, run only
 for the pairs the kernel flagged.
 
@@ -38,6 +38,9 @@ refinement, and satisfies surrounding, exactly when it is closed under the
 2^d - 2 two-block refinements (``_two_block_refinements``).  The surrounding
 verdict and ``structure.refinement_closure`` use those alone; the witnesses
 of a failing set are still listed over every ordered partition.
+
+Each failure list keeps its first ``_MAX_REPORTED_FAILURES`` entries and
+comes with the number of all failures.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ _MAX_PARTITION_DIRECTIONS = 6
 _MAX_PERMUTATION_DIRECTIONS = 8
 _MAX_TWO_BLOCK_DIRECTIONS = 16
 _PAIR_BUDGET = 1 << 14
-_MAX_ELIMINATION_FAILURES = 10**5
+_MAX_REPORTED_FAILURES = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +290,10 @@ class AxiomReport:
     elimination_total: int
     comparability_ok: bool
     comparability_failures: tuple[tuple[Type, Type, tuple[int, ...]], ...]
+    comparability_total: int
     surrounding_ok: bool
     surrounding_failures: tuple[tuple[Type, OrderedPartition], ...]
+    surrounding_total: int
 
     @property
     def ok(self) -> bool:
@@ -300,17 +305,7 @@ class AxiomReport:
         )
 
     def to_obj(self) -> dict:
-        elimination = {
-            "ok": self.elimination_ok,
-            "violations": [
-                {"a": a.to_obj(), "b": b.to_obj(), "position": j}
-                for a, b, j in self.elimination_failures
-            ],
-        }
-        if self.elimination_total > len(self.elimination_failures):
-            elimination["total"] = self.elimination_total
-            elimination["truncated"] = True
-        return {
+        obj = {
             "ok": self.ok,
             "n": self.n,
             "d": self.d,
@@ -319,7 +314,13 @@ class AxiomReport:
                 "ok": self.boundary_ok,
                 "missing_directions": list(self.boundary_missing),
             },
-            "elimination": elimination,
+            "elimination": {
+                "ok": self.elimination_ok,
+                "violations": [
+                    {"a": a.to_obj(), "b": b.to_obj(), "position": j}
+                    for a, b, j in self.elimination_failures
+                ],
+            },
             "comparability": {
                 "ok": self.comparability_ok,
                 "violations": [
@@ -335,6 +336,11 @@ class AxiomReport:
                 ],
             },
         }
+        for axiom in ("elimination", "comparability", "surrounding"):
+            total = getattr(self, f"{axiom}_total")
+            if total > len(obj[axiom]["violations"]):
+                obj[axiom].update(total=total, truncated=True)
+        return obj
 
 
 def elimination_witnesses(
@@ -397,7 +403,7 @@ def check_elimination(
     """The elimination verdict, its failures and their number.
 
     A failure (A, B, j) is listed in both orders, sorted by the indices of
-    A and B in the set and by j; only the first _MAX_ELIMINATION_FAILURES
+    A and B in the set and by j; only the first _MAX_REPORTED_FAILURES
     are kept, and the number returned counts all of them.
     """
     k, n = len(m.types), m.n
@@ -448,11 +454,11 @@ def check_elimination(
         total += 2 * len(p)
         a, b = a[p].astype(np.int64), b[p].astype(np.int64)
         kept = np.concatenate([kept, (a * k + b) * n + j, (b * k + a) * n + j])
-        if len(kept) > 2 * _MAX_ELIMINATION_FAILURES:
+        if len(kept) > 2 * _MAX_REPORTED_FAILURES:
             # the failures beyond the cap-th smallest can never be reported
-            kept = np.partition(kept, _MAX_ELIMINATION_FAILURES - 1)
-            kept = kept[:_MAX_ELIMINATION_FAILURES]
-    kept = np.sort(kept)[:_MAX_ELIMINATION_FAILURES]
+            kept = np.partition(kept, _MAX_REPORTED_FAILURES - 1)
+            kept = kept[:_MAX_REPORTED_FAILURES]
+    kept = np.sort(kept)[:_MAX_REPORTED_FAILURES]
     ab, j = np.divmod(kept, n)
     a, b = np.divmod(ab, k)
     failures = tuple(
@@ -464,48 +470,57 @@ def check_elimination(
 
 def check_comparability(
     m: TomTypeSet,
-) -> tuple[bool, tuple[tuple[Type, Type, tuple[int, ...]], ...]]:
+) -> tuple[bool, tuple[tuple[Type, Type, tuple[int, ...]], ...], int]:
+    """The comparability verdict, its failures (A, B, walk) for the pairs
+    a < b in set order, the first _MAX_REPORTED_FAILURES only, and their
+    number."""
     M = _masks(m)
     # the graph of (b, a) is the graph of (a, b) reversed, and the graph of
     # (a, a) has no one-way arc: check a < b only
     failures = []
+    total = 0
     for a, b in _upper_pairs(len(m.types)):
         bad = _cycle_pairs(M[a], M[b], m.d)
-        for x, y in zip(a[bad].tolist(), b[bad].tolist()):
+        total += int(bad.sum())
+        keep = _MAX_REPORTED_FAILURES - len(failures)
+        for x, y in zip(a[bad][:keep].tolist(), b[bad][:keep].tolist()):
             ta, tb = m.types[x], m.types[y]
             cycle = find_directed_cycle(comparability_graph(ta, tb))
             failures.append((ta, tb, tuple(cycle or ())))
-    return not failures, tuple(failures)
+    return total == 0, tuple(failures), total
 
 
 def check_surrounding(
     m: TomTypeSet,
-) -> tuple[bool, tuple[tuple[Type, OrderedPartition], ...]]:
-    """The surrounding verdict and every failing (type, ordered partition).
+) -> tuple[bool, tuple[tuple[Type, OrderedPartition], ...], int]:
+    """The surrounding verdict, its failures and their number.
 
-    The verdict needs the two-block refinements only; the full list over
-    ordered_partitions is built when it fails.
+    The verdict needs the two-block refinements only; the failing (type,
+    ordered partition) pairs of a failing set are counted type by type and
+    the first _MAX_REPORTED_FAILURES kept.
     """
     if all(
         m.has_coords(r) for t in m.types for r in _two_block_refinements(t.coords, m.d)
     ):
-        return True, ()
+        return True, (), 0
     parts = ordered_partitions(m.d)
-    failures = tuple(
-        (t, p)
-        for t in m.types
-        for p in parts
-        if not m.has_coords(_refine_coords(t.coords, p.parts))
-    )
-    return False, failures
+    failures = []
+    total = 0
+    for t in m.types:
+        for p in parts:
+            if not m.has_coords(_refine_coords(t.coords, p.parts)):
+                total += 1
+                if len(failures) < _MAX_REPORTED_FAILURES:
+                    failures.append((t, p))
+    return False, tuple(failures), total
 
 
 def check_axioms(m: TomTypeSet) -> AxiomReport:
     """Run all four axioms over a type set and report witnesses."""
     b_ok, b_missing = check_boundary(m)
     e_ok, e_fail, e_total = check_elimination(m)
-    c_ok, c_fail = check_comparability(m)
-    s_ok, s_fail = check_surrounding(m)
+    c_ok, c_fail, c_total = check_comparability(m)
+    s_ok, s_fail, s_total = check_surrounding(m)
     return AxiomReport(
         n=m.n,
         d=m.d,
@@ -517,6 +532,8 @@ def check_axioms(m: TomTypeSet) -> AxiomReport:
         elimination_total=e_total,
         comparability_ok=c_ok,
         comparability_failures=c_fail,
+        comparability_total=c_total,
         surrounding_ok=s_ok,
         surrounding_failures=s_fail,
+        surrounding_total=s_total,
     )

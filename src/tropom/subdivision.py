@@ -16,14 +16,20 @@ Triangulation mode takes cell facets to be single-edge removals (every bond
 of a tree is one edge).  General mode enumerates bonds as vertex
 bipartitions with connected sides, keeping only one-directional cuts (all
 crossing edges from one side's left vertices to the other side's rights) —
-the cuts that actually support a face of the product polytope."""
+the cuts that actually support a face of the product polytope.
+
+Both (1) and (3) read the cells' left rows as types: a cell spans when its
+rows are nonempty and form a zero-dimensional type, and two cells have an
+alternating cycle when ``axioms._cycle_pairs`` flags their rows."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .axioms import AxiomReport, check_axioms
+import numpy as np
+
+from .axioms import AxiomReport, _cycle_pairs, _upper_pairs, check_axioms
 from .core import (
     EmptyLeftVertexError,
     NotATriangulationError,
@@ -32,7 +38,7 @@ from .core import (
     Type,
     elements_of,
 )
-from .structure import vertices
+from .structure import is_vertex, vertices
 
 # Spanning-tree budget for the triangulation census.  1000 admits every
 # shape that finishes in seconds; the first shapes past it ((4,4), (3,5))
@@ -172,19 +178,11 @@ def _adjacency(n: int, d: int, edges: frozenset[Edge]) -> list[list[int]]:
     return adj
 
 
-def _covers_and_connected(n: int, d: int, edges: frozenset[Edge]) -> bool:
-    adj = _adjacency(n, d, edges)
-    if any(not neigh for neigh in adj):
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n + d
+def _spans(cell: BipartiteSubgraph) -> bool:
+    """True when the cell covers and connects all of K_{n,d}: every left row
+    is nonempty and the type the rows form is zero-dimensional."""
+    rows = cell.left_masks()
+    return all(rows) and is_vertex(Type(cell.n, cell.d, rows))
 
 
 def _has_isolated_vertex(n: int, d: int, edges: frozenset[Edge]) -> bool:
@@ -195,10 +193,6 @@ def _has_isolated_vertex(n: int, d: int, edges: frozenset[Edge]) -> bool:
     return len(touched) < n + d
 
 
-def _is_spanning_tree(n: int, d: int, edges: frozenset[Edge]) -> bool:
-    return len(edges) == n + d - 1 and _covers_and_connected(n, d, edges)
-
-
 def _alternating_cycle(
     ta: frozenset[Edge], tb: frozenset[Edge], n: int, d: int
 ) -> tuple[Edge, ...] | None:
@@ -206,6 +200,8 @@ def _alternating_cycle(
 
     Arcs go left-to-right along ta and right-to-left along tb; a violation
     is a simple directed cycle of length >= 4 using an edge outside ta & tb.
+    One exists exactly when ``axioms._cycle_pairs`` flags the cells' left
+    rows; callers search only those pairs, to name the cycle.
     """
     shared = ta & tb
     arcs: list[list[tuple[int, Edge]]] = [[] for _ in range(n + d)]
@@ -357,7 +353,7 @@ def check_subdivision(
 
     spanning_viol: list[tuple[int, str]] = []
     for idx, cell in enumerate(cells, start=1):
-        if not _covers_and_connected(n, d, cell.edges):
+        if not _spans(cell):
             spanning_viol.append((idx, "does not span (cover + connect) K_{n,d}"))
         elif triangulation and len(cell.edges) != n + d - 1:
             spanning_viol.append(
@@ -383,10 +379,12 @@ def check_subdivision(
             facet_viol.append((idx, tuple(sorted(rest))))
 
     alt_viol: list[tuple[int, int, tuple[Edge, ...]]] = []
-    for (ia, ca), (ib, cb) in itertools.combinations(enumerate(cells, start=1), 2):
-        cyc = _alternating_cycle(ca.edges, cb.edges, n, d)
-        if cyc is not None:
-            alt_viol.append((ia, ib, cyc))
+    rows = np.array([cell.left_masks() for cell in cells], dtype=np.uint64)
+    for a, b in _upper_pairs(len(cells)):
+        bad = _cycle_pairs(rows[a], rows[b], d)
+        for x, y in zip(a[bad].tolist(), b[bad].tolist()):
+            cyc = _alternating_cycle(cells[x].edges, cells[y].edges, n, d)
+            alt_viol.append((x + 1, y + 1, cyc))
 
     return SubdivisionReport(
         n=n,
@@ -453,26 +451,23 @@ def triangulation_types(c: SubgraphCollection) -> TomTypeSet:
 # enumeration
 
 
-def _all_spanning_trees(n: int, d: int) -> list[frozenset[Edge]]:
+def _all_spanning_trees(n: int, d: int) -> list[BipartiteSubgraph]:
+    """The spanning cells with n + d - 1 edges, in edge-list order."""
     edges_all = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
-    need = n + d - 1
-    return sorted(
-        (
-            frozenset(combo)
-            for combo in itertools.combinations(edges_all, need)
-            if _is_spanning_tree(n, d, frozenset(combo))
-        ),
-        key=sorted,
+    cells = (
+        BipartiteSubgraph(n, d, frozenset(combo))
+        for combo in itertools.combinations(edges_all, n + d - 1)
     )
+    return sorted(filter(_spans, cells), key=BipartiteSubgraph.edge_list)
 
 
 def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
     """Every triangulation of the product of simplices, canonically ordered.
 
     Depth-first facet matching: seed each spanning tree, repeatedly find the
-    first unmatched interior facet and branch over the compatible trees that
-    complete it; a finished collection is kept only when its minimal cell is
-    the seed, so each triangulation is produced exactly once.
+    first unmatched interior facet and branch over the compatible trees after
+    the seed that complete it, so each triangulation is produced once, from
+    its first tree.  Sets of trees are bitmasks over their indices.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -484,54 +479,46 @@ def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
     trees = _all_spanning_trees(n, d)
     k = len(trees)
 
-    compatible = [[False] * k for _ in range(k)]
-    for a in range(k):
-        compatible[a][a] = True
-        for b in range(a + 1, k):
-            ok = _alternating_cycle(trees[a], trees[b], n, d) is None
-            compatible[a][b] = compatible[b][a] = ok
-
-    facet_owners: dict[frozenset[Edge], list[int]] = {}
+    # bitmasks over the trees: compatible[a] holds the trees with no
+    # alternating cycle against tree a, owners[s] the trees with facet s
+    rows = np.array([t.left_masks() for t in trees], dtype=np.uint64)
+    compatible = [
+        int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little")
+        for ok in ~_cycle_pairs(rows[:, None], rows[None], d)
+    ]
+    owners: dict[frozenset[Edge], int] = {}
     internal_facets: list[list[frozenset[Edge]]] = []
     for ti, t in enumerate(trees):
         mine = []
-        for e in sorted(t):
-            s = t - {e}
+        for e in t.edge_list():
+            s = t.edges - {e}
             if _has_isolated_vertex(n, d, s):
                 continue
             mine.append(s)
-            facet_owners.setdefault(s, []).append(ti)
+            owners[s] = owners.get(s, 0) | 1 << ti
         internal_facets.append(mine)
 
-    results: set[frozenset[int]] = set()
+    results: set[int] = set()
 
-    def extend(seed: int, chosen: list[int], chosen_set: set[int]) -> None:
-        for ti in sorted(chosen_set):
-            for s in internal_facets[ti]:
-                if any(o != ti and o in chosen_set for o in facet_owners[s]):
+    def extend(seed: int, chosen: int) -> None:
+        # elements_of lists 1-based bit positions: tree t is bit t - 1
+        for ti in elements_of(chosen):
+            for s in internal_facets[ti - 1]:
+                others = owners[s] & ~(1 << (ti - 1))
+                if others & chosen:
                     continue
-                # unmatched facet: branch over its other owners
-                for cand in facet_owners[s]:
-                    if cand == ti or cand <= seed or cand in chosen_set:
-                        continue
-                    if not all(compatible[cand][x] for x in chosen):
-                        continue
-                    chosen.append(cand)
-                    chosen_set.add(cand)
-                    extend(seed, chosen, chosen_set)
-                    chosen.pop()
-                    chosen_set.remove(cand)
+                # unmatched facet: branch over its other owners after the seed
+                for cand in elements_of(others & -(2 << seed)):
+                    if compatible[cand - 1] & chosen == chosen:
+                        extend(seed, chosen | 1 << (cand - 1))
                 return
-        if min(chosen_set) == seed:
-            results.add(frozenset(chosen_set))
+        results.add(chosen)
 
     for seed in range(k):
-        extend(seed, [seed], {seed})
+        extend(seed, 1 << seed)
 
     collections = [
-        SubgraphCollection(
-            n, d, tuple(BipartiteSubgraph(n, d, trees[ti]) for ti in combo)
-        )
+        SubgraphCollection(n, d, tuple(trees[ti - 1] for ti in elements_of(combo)))
         for combo in results
     ]
     collections.sort(key=lambda col: tuple(cell.edge_list() for cell in col.cells))

@@ -429,3 +429,56 @@ def envelope_cells(apex_rows: list) -> list:
         ):
             out.append((tree, tuple(z[j] for j in range(1, d + 1))))
     return out
+
+
+def _solve_square(rows: list, rhs: list):
+    """The unique solution of a square Fraction system by Cramer's rule, or
+    None when its determinant vanishes."""
+    det = _det(rows) if rows else Fraction(1)
+    if det == 0:
+        return None
+    out = []
+    for c in range(len(rows)):
+        swapped = [row[:c] + [b] + row[c + 1 :] for row, b in zip(rows, rhs)]
+        out.append(Fraction(_det(swapped)) / det)
+    return out
+
+
+def vertex_points_naive(apex_rows: list) -> dict:
+    """The vertices of an arrangement from every choice of d - 1 walls.
+
+    A wall of apex v is x_j - x_k = v_j - v_k.  Each (d - 1)-subset of walls
+    is solved in the chart x_d = 0; a solution is a vertex when its type
+    (per apex, the directions attaining max_j x_j - v_j) links all
+    directions.  Returns {type as a tuple of frozensets: point ending in 0}.
+    """
+    v = [[Fraction(x) for x in row] for row in apex_rows]
+    d = len(v[0])
+    walls = []
+    for row in v:
+        for j, k in itertools.combinations(range(d), 2):
+            coefs = [Fraction(0)] * d
+            coefs[j] += 1
+            coefs[k] -= 1
+            walls.append((coefs[: d - 1], row[j] - row[k]))
+    out = {}
+    for subset in itertools.combinations(walls, d - 1):
+        x = _solve_square([c for c, _ in subset], [b for _, b in subset])
+        if x is None:
+            continue
+        point = tuple(x) + (Fraction(0),)
+        t = []
+        for row in v:
+            diffs = [point[j] - row[j] for j in range(d)]
+            t.append(frozenset(j + 1 for j in range(d) if diffs[j] == max(diffs)))
+        linked = {1}
+        grew = True
+        while grew:
+            grew = False
+            for s in t:
+                if s & linked and not s <= linked:
+                    linked |= s
+                    grew = True
+        if len(linked) == d:
+            out[tuple(t)] = point
+    return out

@@ -10,6 +10,7 @@ import pytest
 from tropom import (
     Arrangement,
     Point,
+    SearchSpaceTooLargeError,
     arrangement_tom,
     check_axioms,
     eliminate_points,
@@ -23,6 +24,7 @@ from tropom import (
     vertex_points,
     vertices,
 )
+from tropom import arrangement
 import oracles
 from helpers import T, prism_arrangement, prism_tom
 
@@ -72,6 +74,40 @@ def test_vertex_points_are_exact():
     }
     for t, p in vp.items():
         assert type_of_point(arr, p) == t
+
+
+def _vertex_cases():
+    rng = random.Random(2024)
+    for n in range(1, 5):
+        for d in range(1, 5):
+            if d >= 3 and n >= 2:
+                yield random_generic_arrangement(n, d, rng=rng)
+            for _ in range(3):
+                yield random_arrangement(n, d, rng, bound=1)
+            yield Arrangement.from_coords(
+                [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+                 for _ in range(n)]
+            )
+
+
+def test_vertex_points_match_naive_oracle():
+    for arr in _vertex_cases():
+        vp = vertex_points(arr)
+        got = {oracles.as_naive(t): p.coords for t, p in vp.items()}
+        assert got == oracles.vertex_points_naive(arr.apexes), arr
+        assert list(vp) == sorted(vp, key=lambda t: t.coords)
+
+
+def test_vertex_enumeration_is_guarded(monkeypatch):
+    with pytest.raises(SearchSpaceTooLargeError):
+        vertex_points(Arrangement.from_coords([[0] * 9, [1] + [0] * 8]))
+    # (2,3) has 3 spanning trees of K_3 with 2^2 labellings each
+    arr = prism_arrangement()
+    monkeypatch.setattr(arrangement, "_VERTEX_CAP", 12)
+    assert len(vertex_points(arr)) == 3
+    monkeypatch.setattr(arrangement, "_VERTEX_CAP", 11)
+    with pytest.raises(SearchSpaceTooLargeError):
+        vertex_points(arr)
 
 
 def test_arrangement_tom_is_the_prism():

@@ -150,7 +150,7 @@ def test_missing_tope_breaks_surrounding():
 
 def test_incomparable_pair_is_reported():
     m = typeset(2, [("12", "2"), ("12", "1")])
-    ok, failures = check_comparability(m)
+    ok, failures, _ = check_comparability(m)
     assert not ok
     pair = {failures[0][0], failures[0][1]}
     assert pair == {T(2, "12", "2"), T(2, "12", "1")}
@@ -236,7 +236,7 @@ def test_comparability_witnesses_are_closed_walks():
         m = TomTypeSet.from_types(
             Type(n, d, _random_coords(rng, n, d)) for _ in range(rng.randint(2, 25))
         )
-        ok, failures = check_comparability(m)
+        ok, failures, _ = check_comparability(m)
         pairs = [(a, b) for a, b, _ in failures]
         assert pairs == sorted(pairs, key=lambda p: (p[0].coords, p[1].coords))
         naive = {
@@ -358,7 +358,7 @@ def test_elimination_report_is_capped(monkeypatch):
     assert sorted(obj) == ["ok", "violations"]
     # a budget of 7 pairs prunes the stored failures between chunks
     monkeypatch.setattr(axioms, "_PAIR_BUDGET", 7)
-    monkeypatch.setattr(axioms, "_MAX_ELIMINATION_FAILURES", 5)
+    monkeypatch.setattr(axioms, "_MAX_REPORTED_FAILURES", 5)
     ok, failures, total = axioms.check_elimination(m)
     assert not ok
     assert list(failures) == full[:5]
@@ -369,9 +369,41 @@ def test_elimination_report_is_capped(monkeypatch):
     assert obj["truncated"] is True
 
 
+def test_comparability_and_surrounding_reports_are_capped(monkeypatch):
+    rng = random.Random(4343)
+    m = TomTypeSet.from_types(Type(3, 4, _random_coords(rng, 3, 4)) for _ in range(30))
+    _, comp, comp_total = check_comparability(m)
+    _, surr, surr_total = check_surrounding(m)
+    assert len(comp) == comp_total > 12
+    assert len(surr) == surr_total > 12
+    obj = check_axioms(m).to_obj()
+    assert sorted(obj["comparability"]) == ["ok", "violations"]
+    assert sorted(obj["surrounding"]) == ["ok", "violations"]
+    walks = []
+    walk = axioms.find_directed_cycle
+    monkeypatch.setattr(axioms, "find_directed_cycle", lambda g: walks.append(g) or walk(g))
+    # a budget of 7 pairs makes the comparability cap fall between chunks
+    monkeypatch.setattr(axioms, "_PAIR_BUDGET", 7)
+    monkeypatch.setattr(axioms, "_MAX_REPORTED_FAILURES", 5)
+    ok, failures, total = check_comparability(m)
+    assert not ok
+    assert failures == comp[:5]
+    assert total == comp_total
+    assert len(walks) == 5
+    ok, failures, total = check_surrounding(m)
+    assert not ok
+    assert failures == surr[:5]
+    assert total == surr_total
+    obj = check_axioms(m).to_obj()
+    for key, everything in (("comparability", comp_total), ("surrounding", surr_total)):
+        assert len(obj[key]["violations"]) == 5
+        assert obj[key]["total"] == everything
+        assert obj[key]["truncated"] is True
+
+
 def test_surrounding_matches_naive_oracle():
     for m in _axiom_cases(random.Random(32)):
-        ok, failures = check_surrounding(m)
+        ok, failures, _ = check_surrounding(m)
         naive = {oracles.as_naive(t) for t in m}
         assert ok == oracles.surrounding_ok(naive, m.n, m.d), m
         if ok or m.d > 4:
@@ -393,7 +425,7 @@ def test_surrounding_matches_naive_oracle():
 def test_seven_directions_close_and_pass_surrounding():
     m = _staircase_tom(7)
     assert len(m) == 769
-    assert check_surrounding(m) == (True, ())
+    assert check_surrounding(m) == (True, (), 0)
     assert check_axioms(m).ok
     subsets = refinement_closure([Type(1, 7, (0b1111111,))])
     assert len(subsets) == 127

@@ -171,6 +171,14 @@ def test_cayley_render_and_verify(monkeypatch, capsys, tmp_path):
     assert json.loads(out)["ok"] is True
 
 
+def test_from_arrangement_refuses_too_many_vertex_candidates(monkeypatch, capsys):
+    arr = json.dumps({"n": 2, "d": 9, "apexes": [[0] * 9, [1] + [0] * 8]})
+    code, out, err = invoke(monkeypatch, capsys, ["tom", "from-arrangement"], arr)
+    assert code == 2
+    assert not out
+    assert "over the cap" in err
+
+
 def test_cayley_rejects_non_triangulations(monkeypatch, capsys):
     bad = json.dumps(
         {"n": 2, "d": 3, "cells": [[[1, 1], [1, 2], [1, 3], [2, 1]]]}

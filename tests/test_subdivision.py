@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from tropom import (
@@ -18,6 +21,8 @@ from tropom import (
     triangulation_types,
     type_to_subgraph,
 )
+from tropom import subdivision
+from tropom.axioms import _cycle_pairs
 import oracles
 from helpers import T, cells_of, prism_cells, prism_tom, typeset
 
@@ -169,3 +174,81 @@ def test_probe_small_shapes():
         assert not report.axiom_failures
     assert conjecture_probe(2, 3).triangulation_count == 6
     assert conjecture_probe(2, 2).triangulation_count == 2
+
+
+def _random_edges(rng, n, d):
+    edges = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
+    density = rng.random()
+    return frozenset(e for e in edges if rng.random() < density) or frozenset(
+        [rng.choice(edges)]
+    )
+
+
+def _left_rows(cells, n, d):
+    return np.array(
+        [BipartiteSubgraph(n, d, c).left_masks() for c in cells], dtype=np.uint64
+    )
+
+
+def test_cycle_kernel_decides_alternating_cycles():
+    for n, d in ((3, 3), (2, 4)):
+        trees = oracles.spanning_trees_naive(n, d)
+        rows = _left_rows(trees, n, d)
+        flagged = _cycle_pairs(rows[:, None], rows[None], d)
+        for a, ta in enumerate(trees):
+            for b, tb in enumerate(trees):
+                cyc = subdivision._alternating_cycle(ta, tb, n, d)
+                assert flagged[a, b] == (cyc is not None), (ta, tb)
+        assert flagged.any() and not flagged.all()
+    rng = random.Random(77)
+    for _ in range(3000):
+        n, d = rng.randint(1, 4), rng.randint(1, 5)
+        ta, tb = _random_edges(rng, n, d), _random_edges(rng, n, d)
+        flagged = _cycle_pairs(_left_rows([ta], n, d), _left_rows([tb], n, d), d)
+        assert flagged[0] == (subdivision._alternating_cycle(ta, tb, n, d) is not None)
+
+
+def _connected_cover(n, d, edges):
+    adj = {("L", i): set() for i in range(1, n + 1)}
+    adj.update({("R", j): set() for j in range(1, d + 1)})
+    for i, j in edges:
+        adj[("L", i)].add(("R", j))
+        adj[("R", j)].add(("L", i))
+    seen = {("L", 1)}
+    queue = [("L", 1)]
+    while queue:
+        for w in adj[queue.pop()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == n + d
+
+
+def test_spanning_test_matches_breadth_first_search():
+    rng = random.Random(78)
+    spans = 0
+    for _ in range(3000):
+        n, d = rng.randint(1, 4), rng.randint(1, 5)
+        edges = _random_edges(rng, n, d)
+        want = _connected_cover(n, d, edges)
+        assert subdivision._spans(BipartiteSubgraph(n, d, edges)) == want, edges
+        spans += want
+    assert 300 < spans < 2700
+
+
+def test_alternating_search_runs_only_on_flagged_pairs(monkeypatch):
+    calls = []
+    search = subdivision._alternating_cycle
+
+    def counted(ta, tb, n, d):
+        calls.append((ta, tb))
+        return search(ta, tb, n, d)
+
+    monkeypatch.setattr(subdivision, "_alternating_cycle", counted)
+    assert check_subdivision(prism_cells(), triangulation=True).ok
+    assert not calls
+    tris = enumerate_triangulations(2, 3)
+    mixed = SubgraphCollection(2, 3, tris[0].cells + tris[-1].cells)
+    report = check_subdivision(mixed, triangulation=True)
+    assert not report.alternating_ok
+    assert len(calls) == len(report.alternating_violations)
