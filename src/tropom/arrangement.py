@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import SearchSpaceTooLargeError, TomTypeSet, Type, elements_of
+from .core import SearchSpaceTooLargeError, TomTypeSet, Type, elements_of, read_shaped
 from .structure import is_vertex, refinement_closure
 
 # Labelled trees for vertex enumeration: (5,5) has 78,125, (2,9) 1.2 * 10^9.
@@ -101,12 +101,7 @@ class Arrangement:
 
     @classmethod
     def from_obj(cls, obj: object) -> "Arrangement":
-        if not isinstance(obj, dict):
-            raise ValueError("an arrangement is an object with n, d, apexes")
-        try:
-            n, d, raw = obj["n"], obj["d"], obj["apexes"]
-        except KeyError as exc:
-            raise ValueError(f"missing key {exc.args[0]!r}") from None
+        n, d, raw = read_shaped(obj, "an arrangement", "apexes")
         if not isinstance(raw, list):
             raise ValueError("apexes must be an array of rows")
         return cls(n, d, tuple(tuple(row) for row in raw))

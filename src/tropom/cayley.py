@@ -23,12 +23,11 @@ from fractions import Fraction
 from .core import (
     EmbeddingInconsistentError,
     NotAFineCellError,
-    NotATriangulationError,
     Type,
     elements_of,
 )
 from .structure import direction_components
-from .subdivision import SubgraphCollection, check_subdivision, subgraph_to_type
+from .subdivision import SubgraphCollection, require_triangulation, subgraph_to_type
 
 _Q = Fraction
 _HALF = Fraction(1, 2)
@@ -182,11 +181,7 @@ def verify_transition_rules(c: SubgraphCollection) -> TransitionReport:
     """Check that every adjacent pair of cells is a legal transition move."""
     if c.d != 3:
         raise ValueError(f"transition rules need d=3, got d={c.d}")
-    report = check_subdivision(c, triangulation=True)
-    if not report.ok:
-        raise NotATriangulationError(
-            "the collection fails the triangulation conditions"
-        )
+    require_triangulation(c)
     types = [subgraph_to_type(cell) for cell in c.cells]
     move_maps = []
     for t in types:
@@ -296,11 +291,7 @@ def embed(c: SubgraphCollection) -> tuple[EmbeddedCell, ...]:
     interior-disjointness, or total area n^2."""
     if c.d != 3:
         raise ValueError(f"the planar embedding needs d=3, got d={c.d}")
-    report = check_subdivision(c, triangulation=True)
-    if not report.ok:
-        raise NotATriangulationError(
-            "the collection fails the triangulation conditions"
-        )
+    require_triangulation(c)
     n = c.n
     out = []
     for index, cell in enumerate(c.cells, start=1):

@@ -9,269 +9,188 @@ SVG) to stdout, and exit with
 * 1 — a verification failed (axioms, subdivision conditions, transition
       rules, embedding consistency, or no elimination witness),
 * 2 — unusable input (malformed JSON, shape errors, out-of-range indices,
-      or a search space over the enumeration cap)."""
+      or a search space over the enumeration cap).
+
+Each program and subcommand is declared once, in `_PROGRAMS`: program ->
+(description, {subcommand: (handler, options)}), options being (name,
+`add_argument` keywords) pairs in order.  Most handlers are `_emit_obj` or
+`_emit_report` around one library call, made through its module's name at
+call time, so a tracer that swaps those names sees every call.  A program's
+parser is built from the table on first use, then reused."""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .arrangement import Arrangement, arrangement_tom
-from .axioms import check_axioms, elimination_witnesses
-from .cayley import render_svg, verify_transition_rules
-from .core import (
-    EmbeddingInconsistentError,
-    NotAFineCellError,
-    NotATriangulationError,
-    TomTypeSet,
-    TropomError,
-)
-from .structure import (
-    contract,
-    delete,
-    reconstruct_from_topes,
-    refinement_closure,
-    topes,
-    vertices,
-)
-from .subdivision import (
-    SubgraphCollection,
-    check_subdivision,
-    conjecture_probe,
-    enumerate_triangulations,
-    tom_to_subdivision,
-)
-from . import core
+from . import arrangement, axioms, cayley, core, structure, subdivision
 
 _VERIFY_ERRORS = (
-    NotATriangulationError,
-    EmbeddingInconsistentError,
-    NotAFineCellError,
+    core.NotATriangulationError, core.EmbeddingInconsistentError, core.NotAFineCellError
 )
+
+Handler = Callable[[argparse.Namespace], int]
 
 
 def _read_json(path: str | None) -> object:
     if path in (None, "-"):
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return json.loads(text)
+        return json.loads(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.loads(fh.read())
 
 
 def _emit(obj: object) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _typeset(path: str | None) -> TomTypeSet:
-    return TomTypeSet.from_obj(_read_json(path))
+def _typeset(args: argparse.Namespace) -> core.TomTypeSet:
+    return core.TomTypeSet.from_obj(_read_json(args.input))
 
 
-def _collection(path: str | None) -> SubgraphCollection:
-    return SubgraphCollection.from_obj(_read_json(path))
+def _collection(args: argparse.Namespace) -> subdivision.SubgraphCollection:
+    return subdivision.SubgraphCollection.from_obj(_read_json(args.input))
 
 
-def _add_input(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "input", nargs="?", default=None, help="JSON file ('-' or omit for stdin)"
-    )
+def _emit_obj(apply: Callable[[argparse.Namespace], object]) -> Handler:
+    def handler(args: argparse.Namespace) -> int:
+        _emit(apply(args).to_obj())
+        return 0
+
+    return handler
 
 
-# ---------------------------------------------------------------------------
-# tom
-
-
-def _tom(args: argparse.Namespace) -> int:
-    cmd = args.command
-    if cmd == "check":
-        report = check_axioms(_typeset(args.input))
+def _emit_report(apply: Callable[[argparse.Namespace], object]) -> Handler:
+    def handler(args: argparse.Namespace) -> int:
+        report = apply(args)
         _emit(report.to_obj())
         return 0 if report.ok else 1
-    if cmd == "from-arrangement":
-        arr = Arrangement.from_obj(_read_json(args.input))
-        if arr.has_coincident_apexes:
-            print(
-                "warning: degenerate arrangement (coincident apexes)",
-                file=sys.stderr,
-            )
-        _emit(arrangement_tom(arr).to_obj())
-        return 0
-    if cmd == "topes":
-        m = _typeset(args.input)
-        _emit(TomTypeSet(m.n, m.d, tuple(topes(m))).to_obj())
-        return 0
-    if cmd == "vertices":
-        m = _typeset(args.input)
-        _emit(TomTypeSet(m.n, m.d, tuple(vertices(m))).to_obj())
-        return 0
-    if cmd == "reconstruct-topes":
-        _emit(reconstruct_from_topes(_typeset(args.input)).to_obj())
-        return 0
-    if cmd == "closure-vertices":
-        _emit(refinement_closure(_typeset(args.input)).to_obj())
-        return 0
-    if cmd == "delete":
-        _emit(delete(_typeset(args.input), args.i).to_obj())
-        return 0
-    if cmd == "contract":
-        _emit(contract(_typeset(args.input), args.j).to_obj())
-        return 0
-    if cmd == "dual":
-        _emit(core.dual(_typeset(args.input)).to_obj())
-        return 0
-    if cmd == "eliminate":
-        m = _typeset(args.input)
-        if not 1 <= args.a <= len(m) or not 1 <= args.b <= len(m):
-            raise ValueError(
-                f"type indices must lie in 1..{len(m)} (canonical order)"
-            )
-        found = elimination_witnesses(
-            m, m.types[args.a - 1], m.types[args.b - 1], args.pos
-        )
-        if args.all:
-            _emit({"witnesses": [t.to_obj() for t in found]})
-        else:
-            _emit({"witness": found[0].to_obj() if found else None})
-        return 0 if found else 1
-    raise AssertionError(cmd)
+
+    return handler
 
 
-def _build_tom() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tom", description="Type sets: axioms, conversions, minors."
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "check",
-        "from-arrangement",
-        "topes",
-        "vertices",
-        "reconstruct-topes",
-        "closure-vertices",
-        "dual",
-    ):
-        _add_input(sub.add_parser(name))
-    p_delete = sub.add_parser("delete")
-    p_delete.add_argument("--i", type=int, required=True, help="coordinate to drop")
-    _add_input(p_delete)
-    p_contract = sub.add_parser("contract")
-    p_contract.add_argument("--j", type=int, required=True, help="direction to contract")
-    _add_input(p_contract)
-    p_elim = sub.add_parser("eliminate")
-    p_elim.add_argument("--a", type=int, required=True, help="first type index (1-based)")
-    p_elim.add_argument("--b", type=int, required=True, help="second type index (1-based)")
-    p_elim.add_argument("--pos", type=int, required=True, help="position to eliminate at")
-    p_elim.add_argument("--all", action="store_true", help="list every witness")
-    _add_input(p_elim)
-    return parser
+def _subset(select: Callable, args: argparse.Namespace) -> core.TomTypeSet:
+    m = _typeset(args)
+    return core.TomTypeSet(m.n, m.d, tuple(select(m)))
 
 
-# ---------------------------------------------------------------------------
-# subdiv
+def _from_arrangement(args: argparse.Namespace) -> core.TomTypeSet:
+    arr = arrangement.Arrangement.from_obj(_read_json(args.input))
+    if arr.has_coincident_apexes:
+        print("warning: degenerate arrangement (coincident apexes)", file=sys.stderr)
+    return arrangement.arrangement_tom(arr)
 
 
-def _subdiv(args: argparse.Namespace) -> int:
-    cmd = args.command
-    if cmd == "check":
-        report = check_subdivision(_collection(args.input), args.triangulation)
-        _emit(report.to_obj())
-        return 0 if report.ok else 1
-    if cmd == "from-tom":
-        _emit(tom_to_subdivision(_typeset(args.input)).to_obj())
-        return 0
-    if cmd == "to-tom":
-        from .subdivision import triangulation_types
-
-        _emit(triangulation_types(_collection(args.input)).to_obj())
-        return 0
-    if cmd == "enumerate":
-        tris = enumerate_triangulations(args.n, args.d)
-        if args.count:
-            _emit({"n": args.n, "d": args.d, "count": len(tris)})
-        else:
-            _emit(
-                {
-                    "n": args.n,
-                    "d": args.d,
-                    "count": len(tris),
-                    "triangulations": [t.to_obj()["cells"] for t in tris],
-                }
-            )
-        return 0
-    raise AssertionError(cmd)
+def _eliminate(args: argparse.Namespace) -> int:
+    m = _typeset(args)
+    if not 1 <= args.a <= len(m) or not 1 <= args.b <= len(m):
+        raise ValueError(f"type indices must lie in 1..{len(m)} (canonical order)")
+    a, b = m.types[args.a - 1], m.types[args.b - 1]
+    found = axioms.elimination_witnesses(m, a, b, args.pos)
+    if args.all:
+        _emit({"witnesses": [t.to_obj() for t in found]})
+    else:
+        _emit({"witness": found[0].to_obj() if found else None})
+    return 0 if found else 1
 
 
-def _build_subdiv() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="subdiv", description="Subdivisions of a product of simplices."
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_check = sub.add_parser("check")
-    p_check.add_argument(
-        "--triangulation", action="store_true", help="require spanning trees"
-    )
-    _add_input(p_check)
-    _add_input(sub.add_parser("from-tom"))
-    _add_input(sub.add_parser("to-tom"))
-    p_enum = sub.add_parser("enumerate")
-    p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--d", type=int, required=True)
-    p_enum.add_argument("--count", action="store_true", help="print the count only")
-    return parser
+def _enumerate(args: argparse.Namespace) -> int:
+    tris = subdivision.enumerate_triangulations(args.n, args.d)
+    obj: dict = {"n": args.n, "d": args.d, "count": len(tris)}
+    if not args.count:
+        obj["triangulations"] = [t.to_obj()["cells"] for t in tris]
+    _emit(obj)
+    return 0
 
 
-# ---------------------------------------------------------------------------
-# conjecture / cayley
+def _render(args: argparse.Namespace) -> int:
+    sys.stdout.write(cayley.render_svg(_collection(args)))
+    return 0
 
 
-def _conjecture(args: argparse.Namespace) -> int:
-    report = conjecture_probe(args.n, args.d)
-    _emit(report.to_obj())
-    return 0 if report.ok else 1
+def _int(help: str | None = None) -> dict:
+    return {"type": int, "required": True, "help": help}
 
 
-def _build_conjecture() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="conjecture",
-        description="Probe triangulation type sets against the axioms.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_probe = sub.add_parser("probe")
-    p_probe.add_argument("--n", type=int, required=True)
-    p_probe.add_argument("--d", type=int, required=True)
-    return parser
+def _flag(help: str) -> dict:
+    return {"action": "store_true", "help": help}
 
 
-def _cayley(args: argparse.Namespace) -> int:
-    cmd = args.command
-    if cmd == "render":
-        sys.stdout.write(render_svg(_collection(args.input)))
-        return 0
-    if cmd == "verify-transitions":
-        report = verify_transition_rules(_collection(args.input))
-        _emit(report.to_obj())
-        return 0 if report.ok else 1
-    raise AssertionError(cmd)
+_INPUT = ("input", {"nargs": "?", "help": "JSON file ('-' or omit for stdin)"})
+_N_D = [("--n", _int()), ("--d", _int())]
 
-
-def _build_cayley() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cayley", description="Planar picture of d=3 triangulations."
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    _add_input(sub.add_parser("render"))
-    _add_input(sub.add_parser("verify-transitions"))
-    return parser
-
-
-_PROGRAMS = {
-    "tom": (_build_tom, _tom),
-    "subdiv": (_build_subdiv, _subdiv),
-    "conjecture": (_build_conjecture, _conjecture),
-    "cayley": (_build_cayley, _cayley),
+_PROGRAMS: dict[str, tuple[str, dict[str, tuple[Handler, list]]]] = {
+    "tom": ("Type sets: axioms, conversions, minors.", {
+        "check": (_emit_report(lambda a: axioms.check_axioms(_typeset(a))), [_INPUT]),
+        "from-arrangement": (_emit_obj(_from_arrangement), [_INPUT]),
+        "topes": (_emit_obj(lambda a: _subset(structure.topes, a)), [_INPUT]),
+        "vertices": (_emit_obj(lambda a: _subset(structure.vertices, a)), [_INPUT]),
+        "reconstruct-topes": (
+            _emit_obj(lambda a: structure.reconstruct_from_topes(_typeset(a))), [_INPUT]
+        ),
+        "closure-vertices": (
+            _emit_obj(lambda a: structure.refinement_closure(_typeset(a))), [_INPUT]
+        ),
+        "dual": (_emit_obj(lambda a: core.dual(_typeset(a))), [_INPUT]),
+        "delete": (
+            _emit_obj(lambda a: structure.delete(_typeset(a), a.i)),
+            [("--i", _int("coordinate to drop")), _INPUT],
+        ),
+        "contract": (
+            _emit_obj(lambda a: structure.contract(_typeset(a), a.j)),
+            [("--j", _int("direction to contract")), _INPUT],
+        ),
+        "eliminate": (_eliminate, [
+            ("--a", _int("first type index (1-based)")),
+            ("--b", _int("second type index (1-based)")),
+            ("--pos", _int("position to eliminate at")),
+            ("--all", _flag("list every witness")),
+            _INPUT,
+        ]),
+    }),
+    "subdiv": ("Subdivisions of a product of simplices.", {
+        "check": (
+            _emit_report(
+                lambda a: subdivision.check_subdivision(_collection(a), a.triangulation)
+            ),
+            [("--triangulation", _flag("require spanning trees")), _INPUT],
+        ),
+        "from-tom": (
+            _emit_obj(lambda a: subdivision.tom_to_subdivision(_typeset(a))), [_INPUT]
+        ),
+        "to-tom": (
+            _emit_obj(lambda a: subdivision.triangulation_types(_collection(a))),
+            [_INPUT],
+        ),
+        "enumerate": (_enumerate, [*_N_D, ("--count", _flag("print the count only"))]),
+    }),
+    "conjecture": ("Probe triangulation type sets against the axioms.", {
+        "probe": (_emit_report(lambda a: subdivision.conjecture_probe(a.n, a.d)), _N_D),
+    }),
+    "cayley": ("Planar picture of d=3 triangulations.", {
+        "render": (_render, [_INPUT]),
+        "verify-transitions": (
+            _emit_report(lambda a: cayley.verify_transition_rules(_collection(a))),
+            [_INPUT],
+        ),
+    }),
 }
+
+
+@functools.cache
+def _parser(program: str) -> argparse.ArgumentParser:
+    """The program's parser, built from `_PROGRAMS` on first use."""
+    description, commands = _PROGRAMS[program]
+    parser = argparse.ArgumentParser(prog=program, description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, options) in commands.items():
+        p = sub.add_parser(name)
+        for option, kwargs in options:
+            p.add_argument(option, **kwargs)
+        p.set_defaults(handler=handler)
+    return parser
 
 
 def run(argv: Sequence[str]) -> int:
@@ -280,24 +199,15 @@ def run(argv: Sequence[str]) -> int:
         names = ", ".join(sorted(_PROGRAMS))
         print(f"usage: one of {names}, then a subcommand", file=sys.stderr)
         return 2
-    build, handler = _PROGRAMS[argv[0]]
-    parser = build()
     try:
-        args = parser.parse_args(list(argv[1:]))
+        args = _parser(argv[0]).parse_args(list(argv[1:]))
     except SystemExit as exc:
-        code = exc.code
-        return int(code) if isinstance(code, int) else 2
+        return exc.code if isinstance(exc.code, int) else 2
     try:
-        return handler(args)
-    except _VERIFY_ERRORS as exc:
+        return args.handler(args)
+    except (core.TropomError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (TropomError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, _VERIFY_ERRORS) else 2
 
 
 def main_tom() -> None:

@@ -114,6 +114,17 @@ def _validate_dims(n: int, d: int) -> None:
         raise ValueError(f"direction count d={d} outside [1, {MAX_DIRECTIONS}]")
 
 
+def read_shaped(obj: object, what: str, key: str) -> tuple[object, object, object]:
+    """n, d and obj[key] from a JSON object that describes `what` ("a type
+    set", "an arrangement", ...) by its shape and one list of items."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is an object with n, d, {key}")
+    try:
+        return obj["n"], obj["d"], obj[key]
+    except KeyError as exc:
+        raise ValueError(f"missing key {exc.args[0]!r}") from None
+
+
 def _coord_str(mask: int, d: int) -> str:
     if mask == 0:
         return "-"
@@ -335,12 +346,7 @@ class TomTypeSet:
 
     @classmethod
     def from_obj(cls, obj: object) -> "TomTypeSet":
-        if not isinstance(obj, dict):
-            raise ValueError("a type set is an object with n, d, types")
-        try:
-            n, d, raw = obj["n"], obj["d"], obj["types"]
-        except KeyError as exc:
-            raise ValueError(f"missing key {exc.args[0]!r}") from None
+        n, d, raw = read_shaped(obj, "a type set", "types")
         _validate_dims(n, d)
         if not isinstance(raw, list):
             raise ValueError("types must be an array")

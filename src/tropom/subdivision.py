@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import AxiomReport, _cycle_pairs, _upper_pairs, check_axioms
+from .axioms import (
+    _MAX_REPORTED_FAILURES,
+    AxiomReport,
+    _cycle_pairs,
+    _upper_pairs,
+    check_axioms,
+)
 from .core import (
     EmptyLeftVertexError,
     NotATriangulationError,
@@ -37,6 +43,7 @@ from .core import (
     TomTypeSet,
     Type,
     elements_of,
+    read_shaped,
 )
 from .structure import is_vertex, vertices
 
@@ -44,6 +51,11 @@ from .structure import is_vertex, vertices
 # shape that finishes in seconds; the first shapes past it ((4,4), (3,5))
 # have millions of triangulations and would run for hours.
 _ENUM_CAP = 1000
+
+# Vertex-bipartition budget for one cell's general-mode facets.  A K_{8,8}
+# cell has 2^15 bipartitions and takes under a second; each further vertex
+# doubles the time, so K_{12,12} would take minutes and K_{16,16} hours.
+_BIPARTITION_CAP = 1 << 15
 
 Edge = tuple[int, int]
 
@@ -141,12 +153,7 @@ class SubgraphCollection:
 
     @classmethod
     def from_obj(cls, obj: object) -> "SubgraphCollection":
-        if not isinstance(obj, dict):
-            raise ValueError("a collection is an object with n, d, cells")
-        try:
-            n, d, raw = obj["n"], obj["d"], obj["cells"]
-        except KeyError as exc:
-            raise ValueError(f"missing key {exc.args[0]!r}") from None
+        n, d, raw = read_shaped(obj, "a collection", "cells")
         if not isinstance(raw, list) or not raw:
             raise ValueError("cells must be a nonempty array")
         cells = tuple(BipartiteSubgraph.from_obj(entry, n, d) for entry in raw)
@@ -253,8 +260,10 @@ class SubdivisionReport:
     spanning_violations: tuple[tuple[int, str], ...]
     facet_ok: bool
     facet_violations: tuple[tuple[int, tuple[Edge, ...]], ...]
+    facet_total: int
     alternating_ok: bool
     alternating_violations: tuple[tuple[int, int, tuple[Edge, ...]], ...]
+    alternating_total: int
     note: str
 
     @property
@@ -262,7 +271,7 @@ class SubdivisionReport:
         return self.spanning_ok and self.facet_ok and self.alternating_ok
 
     def to_obj(self) -> dict:
-        return {
+        obj = {
             "ok": self.ok,
             "n": self.n,
             "d": self.d,
@@ -291,6 +300,13 @@ class SubdivisionReport:
             },
             "note": self.note,
         }
+        for key, total in (
+            ("facets", self.facet_total),
+            ("alternating", self.alternating_total),
+        ):
+            if total > len(obj[key]["violations"]):
+                obj[key].update(total=total, truncated=True)
+        return obj
 
 
 def _facet_candidates_tree(cell: BipartiteSubgraph) -> list[frozenset[Edge]]:
@@ -315,10 +331,16 @@ def _facet_candidates_general(cell: BipartiteSubgraph) -> list[frozenset[Edge]]:
     """Bond complements that are one-directional cuts, i.e. candidate faces."""
     n, d = cell.n, cell.d
     nv = n + d
+    bipartitions = (1 << (nv - 1)) - 1
+    if bipartitions > _BIPARTITION_CAP:
+        raise SearchSpaceTooLargeError(
+            f"a K_({n},{d}) cell has {bipartitions} vertex bipartitions,"
+            f" over the cap of {_BIPARTITION_CAP}"
+        )
     adj = _adjacency(n, d, cell.edges)
     out: list[frozenset[Edge]] = []
     seen: set[frozenset[Edge]] = set()
-    for assign in range(1, 1 << (nv - 1)):
+    for assign in range(1, bipartitions + 1):
         side1 = {v for v in range(1, nv) if (assign >> (v - 1)) & 1}
         side0 = set(range(nv)) - side1
         crossing = set()
@@ -347,7 +369,10 @@ def _facet_candidates_general(cell: BipartiteSubgraph) -> list[frozenset[Edge]]:
 def check_subdivision(
     c: SubgraphCollection, triangulation: bool = False
 ) -> SubdivisionReport:
-    """Test the three subdivision conditions, collecting witnesses."""
+    """Test the three subdivision conditions, collecting witnesses.
+
+    The facet and alternating lists keep their first _MAX_REPORTED_FAILURES
+    entries, and cycles are named for those only; the report counts all."""
     n, d = c.n, c.d
     cells = c.cells
 
@@ -361,6 +386,7 @@ def check_subdivision(
             )
 
     facet_viol: list[tuple[int, tuple[Edge, ...]]] = []
+    facet_total = 0
     for idx, cell in enumerate(cells, start=1):
         candidates = (
             _facet_candidates_tree(cell)
@@ -376,13 +402,18 @@ def check_subdivision(
                 if k != idx
             ):
                 continue
-            facet_viol.append((idx, tuple(sorted(rest))))
+            facet_total += 1
+            if len(facet_viol) < _MAX_REPORTED_FAILURES:
+                facet_viol.append((idx, tuple(sorted(rest))))
 
     alt_viol: list[tuple[int, int, tuple[Edge, ...]]] = []
+    alt_total = 0
     rows = np.array([cell.left_masks() for cell in cells], dtype=np.uint64)
     for a, b in _upper_pairs(len(cells)):
         bad = _cycle_pairs(rows[a], rows[b], d)
-        for x, y in zip(a[bad].tolist(), b[bad].tolist()):
+        alt_total += int(bad.sum())
+        keep = _MAX_REPORTED_FAILURES - len(alt_viol)
+        for x, y in zip(a[bad][:keep].tolist(), b[bad][:keep].tolist()):
             cyc = _alternating_cycle(cells[x].edges, cells[y].edges, n, d)
             alt_viol.append((x + 1, y + 1, cyc))
 
@@ -393,10 +424,12 @@ def check_subdivision(
         triangulation_mode=triangulation,
         spanning_ok=not spanning_viol,
         spanning_violations=tuple(spanning_viol),
-        facet_ok=not facet_viol,
+        facet_ok=not facet_total,
         facet_violations=tuple(facet_viol),
-        alternating_ok=not alt_viol,
+        facet_total=facet_total,
+        alternating_ok=not alt_total,
         alternating_violations=tuple(alt_viol),
+        alternating_total=alt_total,
         note=""
         if triangulation
         else "general-mode facets are one-directional bond complements",
@@ -417,6 +450,13 @@ def tom_to_subdivision(m: TomTypeSet) -> SubgraphCollection:
     )
 
 
+def require_triangulation(c: SubgraphCollection) -> None:
+    """Raise NotATriangulationError unless ``check_subdivision`` passes the
+    collection in triangulation mode."""
+    if not check_subdivision(c, triangulation=True).ok:
+        raise NotATriangulationError("the collection fails the triangulation conditions")
+
+
 def _nonempty_submasks(mask: int) -> list[int]:
     subs = []
     sub = 0
@@ -433,11 +473,7 @@ def triangulation_types(c: SubgraphCollection) -> TomTypeSet:
     For each cell, each coordinate independently picks a nonempty subset of
     the cell's incident directions; the results are pooled over all cells.
     """
-    report = check_subdivision(c, triangulation=True)
-    if not report.ok:
-        raise NotATriangulationError(
-            "the collection fails the triangulation conditions"
-        )
+    require_triangulation(c)
     coords_seen: dict[tuple[int, ...], Type] = {}
     for cell in c.cells:
         per_row = [_nonempty_submasks(mask) for mask in cell.left_masks()]

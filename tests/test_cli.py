@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 
 import pytest
 
+from tropom import cli
 from tropom.cli import run
 from helpers import T, prism_cells, prism_tom
 
@@ -200,3 +202,59 @@ def test_console_entry_points_exist():
 
     for fn in (main_tom, main_subdiv, main_conjecture, main_cayley):
         assert callable(fn)
+
+
+SUBCOMMANDS = {
+    "tom": [
+        "check",
+        "from-arrangement",
+        "topes",
+        "vertices",
+        "reconstruct-topes",
+        "closure-vertices",
+        "dual",
+        "delete",
+        "contract",
+        "eliminate",
+    ],
+    "subdiv": ["check", "from-tom", "to-tom", "enumerate"],
+    "conjecture": ["probe"],
+    "cayley": ["render", "verify-transitions"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[prog] for prog in SUBCOMMANDS]
+    + [[prog, sub] for prog, subs in SUBCOMMANDS.items() for sub in subs],
+)
+def test_every_program_and_subcommand_answers_help(monkeypatch, capsys, argv):
+    code, out, err = invoke(monkeypatch, capsys, [*argv, "--help"])
+    assert code == 0
+    assert out.startswith(f"usage: {' '.join(argv)} [-h]")
+    assert not err
+
+
+def test_each_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    assert invoke(monkeypatch, capsys, ["tom", "check"], PRISM_JSON)[0] == 0
+    assert len(built) == 1 + len(SUBCOMMANDS["tom"])
+    assert invoke(monkeypatch, capsys, ["tom", "dual"], PRISM_JSON)[0] == 0
+    assert len(built) == 1 + len(SUBCOMMANDS["tom"])
+
+
+def test_general_mode_check_refuses_too_many_bipartitions(monkeypatch, capsys):
+    whole = [[i, j] for i in range(1, 17) for j in range(1, 17)]
+    cells = json.dumps({"n": 16, "d": 16, "cells": [whole]})
+    code, out, err = invoke(monkeypatch, capsys, ["subdiv", "check"], cells)
+    assert code == 2
+    assert not out
+    assert "over the cap" in err

@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from tropom import (
+    Arrangement,
     EmptyCoordinateError,
     OrderedPartition,
     OutOfRangeError,
     SemiType,
+    SubgraphCollection,
     TomTypeSet,
     Type,
     completion,
@@ -171,3 +173,21 @@ def test_dual_is_an_involution_on_the_prism():
     dm = dual(m)
     assert (dm.n, dm.d) == (3, 2)
     assert dual(dm) == m
+
+
+@pytest.mark.parametrize(
+    "cls, what, key",
+    [
+        (TomTypeSet, "a type set", "types"),
+        (Arrangement, "an arrangement", "apexes"),
+        (SubgraphCollection, "a collection", "cells"),
+    ],
+)
+def test_shaped_objects_name_what_is_missing(cls, what, key):
+    with pytest.raises(ValueError, match=f"^{what} is an object with n, d, {key}$"):
+        cls.from_obj([1, 2])
+    for missing in ("n", "d", key):
+        obj = {"n": 1, "d": 1, key: []}
+        del obj[missing]
+        with pytest.raises(ValueError, match=f"^missing key '{missing}'$"):
+            cls.from_obj(obj)

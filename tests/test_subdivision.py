@@ -252,3 +252,38 @@ def test_alternating_search_runs_only_on_flagged_pairs(monkeypatch):
     report = check_subdivision(mixed, triangulation=True)
     assert not report.alternating_ok
     assert len(calls) == len(report.alternating_violations)
+
+
+def test_subdivision_report_is_capped(monkeypatch):
+    # every spanning tree of K_{3,3} as one collection: many crossing pairs,
+    # and five trees alone leave many interior facets unmatched
+    trees = subdivision._all_spanning_trees(3, 3)
+    crowd = SubgraphCollection(3, 3, tuple(trees))
+    sparse = SubgraphCollection(3, 3, tuple(trees[::20]))
+    full_alt = check_subdivision(crowd, triangulation=True)
+    full_facet = check_subdivision(sparse)
+    assert len(full_alt.alternating_violations) > 5
+    assert len(full_facet.facet_violations) > 5
+    assert "total" not in full_alt.to_obj()["alternating"]
+    assert "total" not in full_facet.to_obj()["facets"]
+
+    calls = []
+    search = subdivision._alternating_cycle
+    monkeypatch.setattr(
+        subdivision, "_alternating_cycle", lambda *a: calls.append(a) or search(*a)
+    )
+    monkeypatch.setattr(subdivision, "_MAX_REPORTED_FAILURES", 5)
+    alt = check_subdivision(crowd, triangulation=True)
+    facet = check_subdivision(sparse)
+    assert len(calls) == 5 + len(facet.alternating_violations)
+    assert alt.alternating_violations == full_alt.alternating_violations[:5]
+    assert alt.alternating_total == len(full_alt.alternating_violations)
+    assert facet.facet_violations == full_facet.facet_violations[:5]
+    assert facet.facet_total == len(full_facet.facet_violations)
+    assert not alt.ok and not facet.ok
+    obj = alt.to_obj()["alternating"]
+    assert obj["total"] == alt.alternating_total and obj["truncated"] is True
+    assert len(obj["violations"]) == 5
+    obj = facet.to_obj()["facets"]
+    assert obj["total"] == facet.facet_total and obj["truncated"] is True
+    assert list(obj) == ["ok", "violations", "total", "truncated"]
