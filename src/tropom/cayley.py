@@ -5,13 +5,18 @@ segments plus points, so the cells of a triangulation tile the side-n
 triangle with upward unit triangles and unit rhombi (lozenges).  This
 module classifies the pieces, enumerates the legal moves between adjacent
 cells (which coordinate gains a direction when another sheds one), lays the
-tiling out with exact rational lattice coordinates, and renders it to SVG
-with the induced pseudoline overlay (one polyline class per hyperplane).
+tiling out with exact lattice coordinates, and renders it to SVG with the
+induced pseudoline overlay (one polyline class per hyperplane).
 
 Lattice convention: a point with barycentric coordinates (p1, p2, p3),
 summing to n, sits at axial (u, v) = (p2, p3); the plane map is
 x = u + v/2, y = v * sqrt(3)/2, with y flipped for SVG.  The area unit is
-the upward unit triangle, computed as twice the axial shoelace area."""
+the upward unit triangle, computed as twice the axial shoelace area.
+
+Every polygon corner is a lattice point, so polygons, areas and the overlap
+tests run on plain ints.  The only other points are the pseudoline segment
+ends: edge midpoints (halves) and triangle centroids (thirds), kept exact as
+Fractions.  Floats appear only in the SVG text."""
 
 from __future__ import annotations
 
@@ -29,10 +34,8 @@ from .core import (
 from .structure import direction_components
 from .subdivision import SubgraphCollection, require_triangulation, subgraph_to_type
 
-_Q = Fraction
-_HALF = Fraction(1, 2)
-
-Axial = tuple[Fraction, Fraction]
+Axial = tuple[int, int]  # a lattice point (u, v) = (p2, p3)
+Point = tuple[Fraction, Fraction]  # a segment end: a midpoint or a centroid
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +225,11 @@ class EmbeddedCell:
     vertex_type: Type
     piece: PuzzlePiece
     polygon: tuple[Axial, ...]
-    segments: tuple[tuple[int, Axial, Axial], ...]
+    segments: tuple[tuple[int, Point, Point], ...]
 
 
 def _axial(bary: tuple[int, int, int]) -> Axial:
-    return (_Q(bary[1]), _Q(bary[2]))
+    return (bary[1], bary[2])
 
 
 def _hull(points: list[Axial]) -> tuple[Axial, ...]:
@@ -234,7 +237,7 @@ def _hull(points: list[Axial]) -> tuple[Axial, ...]:
     if len(pts) <= 2:
         return tuple(pts)
 
-    def cross(o: Axial, p: Axial, q: Axial) -> Fraction:
+    def cross(o: Axial, p: Axial, q: Axial) -> int:
         return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
 
     lower: list[Axial] = []
@@ -250,15 +253,15 @@ def _hull(points: list[Axial]) -> tuple[Axial, ...]:
     return tuple(lower[:-1] + upper[:-1])  # ccw
 
 
-def _doubled_area(poly: tuple[Axial, ...]) -> Fraction:
-    total = Fraction(0)
+def _doubled_area(poly: tuple[Axial, ...]) -> int:
+    total = 0
     for (x1, y1), (x2, y2) in zip(poly, poly[1:] + poly[:1]):
         total += x1 * y2 - x2 * y1
     return total  # in upward-unit-triangle units (axial shoelace doubled)
 
 
-def _mid(p: Axial, q: Axial) -> Axial:
-    return ((p[0] + q[0]) * _HALF, (p[1] + q[1]) * _HALF)
+def _mid(p: Axial, q: Axial) -> Point:
+    return (Fraction(p[0] + q[0], 2), Fraction(p[1] + q[1], 2))
 
 
 def _cell_points(a: Type) -> list[Axial]:
@@ -272,7 +275,8 @@ def _cell_points(a: Type) -> list[Axial]:
 
 
 def _interiors_disjoint(p: tuple[Axial, ...], q: tuple[Axial, ...]) -> bool:
-    # separating-axis test for two ccw convex polygons with exact coordinates
+    # separating-axis test for two ccw convex polygons with exact (int or
+    # Fraction) coordinates
     def separated_by_edge_of(poly: tuple[Axial, ...], other: tuple[Axial, ...]) -> bool:
         for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
             ex, ey = bx - ax, by - ay
@@ -312,8 +316,8 @@ def embed(c: SubgraphCollection) -> tuple[EmbeddedCell, ...]:
         if piece.kind == "triangle":
             (p0, p1, p2) = poly
             centroid = (
-                (p0[0] + p1[0] + p2[0]) / 3,
-                (p0[1] + p1[1] + p2[1]) / 3,
+                Fraction(p0[0] + p1[0] + p2[0], 3),
+                Fraction(p0[1] + p1[1] + p2[1], 3),
             )
             row = piece.positions[0]
             for a_pt, b_pt in ((p0, p1), (p1, p2), (p2, p0)):
@@ -392,8 +396,9 @@ def _fmt(x: float) -> str:
     return "0" if s in ("-0", "") else s
 
 
-def _to_xy(pt: Axial, n: int) -> tuple[float, float]:
-    x = float(pt[0] + pt[1] * _HALF) * _SCALE
+def _to_xy(pt: Axial | Point, n: int) -> tuple[float, float]:
+    # halving a float is exact, so this equals float(u + v/2) for ints and Fractions
+    x = float(2 * pt[0] + pt[1]) / 2 * _SCALE
     y = (float(n) - float(pt[1])) * (_SQRT3 / 2.0) * _SCALE
     return x, y
 

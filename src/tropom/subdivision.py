@@ -25,7 +25,7 @@ alternating cycle when ``axioms._cycle_pairs`` flags their rows."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +71,7 @@ class BipartiteSubgraph:
     n: int
     d: int
     edges: frozenset[Edge]
+    _sorted: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.edges, frozenset):
@@ -82,6 +83,7 @@ class BipartiteSubgraph:
                 raise ValueError(f"left vertex {i} out of range 1..{self.n}")
             if not 1 <= j <= self.d:
                 raise ValueError(f"right vertex {j} out of range 1..{self.d}")
+        object.__setattr__(self, "_sorted", tuple(sorted(self.edges)))
 
     @classmethod
     def from_obj(cls, obj: object, n: int, d: int) -> "BipartiteSubgraph":
@@ -98,7 +100,7 @@ class BipartiteSubgraph:
         return [[i, j] for i, j in self.edge_list()]
 
     def edge_list(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
+        return self._sorted
 
     def left_masks(self) -> tuple[int, ...]:
         rows = [0] * self.n

@@ -1,0 +1,144 @@
+"""The CLI's indented JSON writer prints what `json.dumps(indent=2)` prints."""
+
+from __future__ import annotations
+
+import io
+import json
+import random
+
+import pytest
+
+from tropom import cli
+from tropom.cli import run
+from helpers import T, prism_cells, prism_tom
+
+STRINGS = [
+    "",
+    "K_{n,d}",
+    'say "hi"',
+    "back\\slash",
+    "naïve Δ_{n−1}×Δ_{d−1} 🌴",
+    "tab\tnew\nline\x00\x1f\x7f",
+]
+SCALARS = [0, 1, -1, -7, 2**64 + 1, -(2**70), True, False, None, 0.5, *STRINGS]
+
+
+def _random_value(rng: random.Random, depth: int, shared: list) -> object:
+    roll = rng.random()
+    if depth >= 4 or roll < 0.3:
+        return rng.choice(SCALARS)
+    if roll < 0.45:
+        return shared  # the same all-int list at whatever depth this lands
+    if roll < 0.6:
+        return [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))]
+    if roll < 0.7:
+        return [[rng.randint(0, 9) for _ in range(rng.randint(0, 3))]
+                for _ in range(rng.randint(0, 3))]
+    if roll < 0.85:
+        return [_random_value(rng, depth + 1, shared) for _ in range(rng.randint(0, 4))]
+    return {rng.choice(STRINGS) + str(i): _random_value(rng, depth + 1, shared)
+            for i in range(rng.randint(0, 4))}
+
+
+def _written(obj: object, capsys) -> str:
+    cli._emit(obj)
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_writer_matches_json_on_random_objects(seed, capsys):
+    rng = random.Random(seed)
+    shared = [1, 2, 3]
+    obj = {"top": _random_value(rng, 0, shared), "again": [[shared], shared]}
+    assert _written(obj, capsys) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [True, False, 1, 0],
+        [[1, 0], [True, False]],
+        {"a": [1, 0], "b": [[True], [1]]},
+        [[], {}, [[]], [[], [1]]],
+        {},
+        [],
+        None,
+        {"deep": [[[1, 2], [3]], [[1, 2], [3]]], "shallow": [[1, 2], [3]]},
+        {"x": [1, 2], "y": {"x": [1, 2]}, "z": [[1, 2]]},
+        [1.5, [2.5, float("inf")], {"k": -0.0}],
+        {1: "int key", "s": (1, [2, 3])},
+        [2**64, -(2**64), [2**100]],
+        STRINGS,
+        {s: s for s in STRINGS},
+    ],
+)
+def test_writer_matches_json_on_edge_cases(obj, capsys):
+    assert _written(obj, capsys) == json.dumps(obj, indent=2) + "\n"
+
+
+def _run_recorded(monkeypatch, capsys, argv, stdin_text=""):
+    """Run one command; return its stdout and the objects it emitted."""
+    seen = []
+    emit = cli._emit
+
+    def recording(obj):
+        seen.append(obj)
+        emit(obj)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    run(argv)
+    monkeypatch.setattr(cli, "_emit", emit)
+    return capsys.readouterr().out, seen
+
+
+def _prism_commands():
+    tom = json.dumps(prism_tom().to_obj())
+    cells = json.dumps(prism_cells().to_obj())
+    broken = prism_tom().to_obj()
+    broken["types"] = broken["types"][1:]
+    a = prism_tom().types.index(T(3, "1", "1")) + 1
+    b = prism_tom().types.index(T(3, "123", "1")) + 1
+    arrangement = json.dumps(
+        {"n": 2, "d": 3, "apexes": [["0", "0", "0"], ["-2", "0", "-1"]]}
+    )
+    commands = [
+        (["tom", "from-arrangement"], arrangement),
+        (["tom", "check"], tom),
+        (["tom", "check"], json.dumps(broken)),
+        (["tom", "topes"], tom),
+        (["tom", "vertices"], tom),
+        (["tom", "closure-vertices"], tom),
+        (["tom", "dual"], tom),
+        (["tom", "delete", "--i", "1"], tom),
+        (["tom", "contract", "--j", "3"], tom),
+        (["tom", "eliminate", "--a", str(a), "--b", str(b), "--pos", "1"], tom),
+        (["tom", "eliminate", "--a", str(a), "--b", str(b), "--pos", "1", "--all"], tom),
+        (["subdiv", "from-tom"], tom),
+        (["subdiv", "to-tom"], cells),
+        (["subdiv", "check", "--triangulation"], cells),
+        (["subdiv", "check"], cells),
+        (["subdiv", "enumerate", "--n", "3", "--d", "3"], ""),
+        (["subdiv", "enumerate", "--n", "3", "--d", "3", "--count"], ""),
+        (["conjecture", "probe", "--n", "2", "--d", "3"], ""),
+        (["cayley", "verify-transitions"], cells),
+    ]
+    return [
+        pytest.param(argv, stdin_text, id=f"{' '.join(argv)}#{k}")
+        for k, (argv, stdin_text) in enumerate(commands)
+    ]
+
+
+@pytest.mark.parametrize("argv, stdin_text", _prism_commands())
+def test_cli_output_matches_json(argv, stdin_text, monkeypatch, capsys):
+    out, seen = _run_recorded(monkeypatch, capsys, argv, stdin_text)
+    assert len(seen) == 1
+    assert out == json.dumps(seen[0], indent=2) + "\n"
+
+
+def test_topes_reconstruction_output_matches_json(monkeypatch, capsys):
+    tom = json.dumps(prism_tom().to_obj())
+    topes, _ = _run_recorded(monkeypatch, capsys, ["tom", "topes"], tom)
+    out, seen = _run_recorded(monkeypatch, capsys, ["tom", "reconstruct-topes"], topes)
+    assert len(seen) == 1
+    assert out == json.dumps(seen[0], indent=2) + "\n"

@@ -287,3 +287,14 @@ def test_subdivision_report_is_capped(monkeypatch):
     obj = facet.to_obj()["facets"]
     assert obj["total"] == facet.facet_total and obj["truncated"] is True
     assert list(obj) == ["ok", "violations", "total", "truncated"]
+
+
+def test_edge_list_is_sorted_once_and_stays_out_of_identity():
+    edges = [(2, 1), (1, 3), (1, 1), (2, 2)]
+    a = BipartiteSubgraph(2, 3, frozenset(edges))
+    b = BipartiteSubgraph(2, 3, frozenset(reversed(edges)))
+    assert a.edge_list() == ((1, 1), (1, 3), (2, 1), (2, 2))
+    assert a.edge_list() is a.edge_list()
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == f"BipartiteSubgraph(n=2, d=3, edges={a.edges!r})"
+    assert a.to_obj() == [[1, 1], [1, 3], [2, 1], [2, 2]]
