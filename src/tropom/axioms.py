@@ -58,6 +58,7 @@ from .core import (
     Semidigraph,
     TomTypeSet,
     Type,
+    _nonempty_submasks,
     constant_type,
     elements_of,
 )
@@ -111,27 +112,36 @@ def _two_block_refinements(coords: tuple[int, ...], d: int) -> Iterator[tuple[in
         yield tuple(c & later or c for c in coords)
 
 
+@lru_cache(maxsize=None)
+def _latest(d: int) -> np.ndarray:
+    """The uint8 table latest[order, mask]: the 0-based direction of mask
+    that comes last in the order-th linear order on the directions, orders
+    numbered lexicographically; column 0 is unused.
+
+    Row by row this is the total refinement along that order, so
+    total_refinements and structure.reconstruct_from_topes both read it.
+    """
+    if d > _MAX_PERMUTATION_DIRECTIONS:
+        raise SearchSpaceTooLargeError(
+            f"{d}! singleton orders exceed the enumeration cap"
+        )
+    orders = np.array(list(itertools.permutations(range(d))), dtype=np.uint8)
+    masks = np.arange(1 << d, dtype=np.uint8)
+    latest = np.zeros((len(orders), 1 << d), dtype=np.uint8)
+    for j in orders.T[:, :, None]:  # the directions at one place of each order
+        latest = np.where(masks >> j & 1 == 1, j, latest)
+    latest.flags.writeable = False  # one cached table serves every caller
+    return latest
+
+
 def total_refinements(a: Type) -> frozenset[Type]:
     """All refinements of a with every coordinate a singleton.
 
     One refinement per linear order on the directions (the partition into
     singletons in that order), deduplicated.
     """
-    if a.d > _MAX_PERMUTATION_DIRECTIONS:
-        raise SearchSpaceTooLargeError(
-            f"{a.d}! singleton orders exceed the enumeration cap"
-        )
-    found: set[tuple[int, ...]] = set()
-    for perm in itertools.permutations(range(a.d)):
-        rank = [0] * a.d
-        for r, j in enumerate(perm):
-            rank[j] = r
-        coords = []
-        for mask in a.coords:
-            best = max(elements_of(mask), key=lambda j: rank[j - 1])
-            coords.append(1 << (best - 1))
-        found.add(tuple(coords))
-    return frozenset(Type(a.n, a.d, c) for c in found)
+    rows = np.unique(_latest(a.d)[:, list(a.coords)], axis=0).tolist()
+    return frozenset(Type(a.n, a.d, tuple(1 << j for j in row)) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -141,21 +151,16 @@ def ordered_partitions(d: int) -> tuple[OrderedPartition, ...]:
         raise SearchSpaceTooLargeError(
             f"ordered partitions of {d} directions exceed the enumeration cap"
         )
-    full = (1 << d) - 1
 
     def _gen(remaining: int):
         if remaining == 0:
             yield ()
             return
-        sub = 0
-        while True:
-            sub = (sub - remaining) & remaining
-            if sub == 0:
-                break
+        for sub in _nonempty_submasks(remaining):
             for rest in _gen(remaining & ~sub):
                 yield (sub,) + rest
 
-    return tuple(OrderedPartition(d, parts) for parts in _gen(full))
+    return tuple(OrderedPartition(d, parts) for parts in _gen((1 << d) - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,14 @@ Handler = Callable[[argparse.Namespace], int]
 
 def _read_json(path: str | None) -> object:
     if path in (None, "-"):
-        return json.loads(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.loads(fh.read())
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
 
 
 def _emit(obj: object) -> None:

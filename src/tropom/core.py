@@ -96,6 +96,17 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _nonempty_submasks(mask: int) -> list[int]:
+    """The nonempty submasks of a bitmask, in increasing order."""
+    subs = []
+    sub = 0
+    while True:
+        sub = (sub - mask) & mask
+        if sub == 0:
+            return subs
+        subs.append(sub)
+
+
 def _validate_mask(mask: int, d: int, position: int, allow_empty: bool) -> None:
     if not isinstance(mask, int) or isinstance(mask, bool):
         raise TypeError(f"coordinate {position} is not a bitmask")

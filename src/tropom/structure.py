@@ -1,11 +1,14 @@
 """Structure of type sets: dimension, topes and vertices, the refinement
 partial order with witnesses, refinement closures, reconstruction from
-topes, and the two minor operations (deletion and contraction)."""
+topes, and the two minor operations (deletion and contraction).
+
+``_components`` is the one connectivity routine: it gives the direction
+components of a type, the classes of a refinement witness, and, in
+``subdivision``, whether a cell spans and whether a cut is a bond."""
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Iterable
 
 import numpy as np
@@ -15,9 +18,8 @@ from .core import (
     SearchSpaceTooLargeError,
     TomTypeSet,
     Type,
-    elements_of,
 )
-from .axioms import _cycle_pairs, _masks, _two_block_refinements
+from .axioms import _cycle_pairs, _latest, _masks, _two_block_refinements
 
 _RECONSTRUCT_CAP = 10**7
 _CANDIDATE_CHUNK = 1 << 16
@@ -27,30 +29,30 @@ _CANDIDATE_CHUNK = 1 << 16
 # dimension
 
 
+def _components(masks: Iterable[int], width: int) -> list[int]:
+    """Connected components (as bitmasks) of the graph on bits 0..width-1
+    in which each mask, a nonempty set of those bits, joins all of its bits:
+    start from singleton components and, for each mask, merge every
+    component it meets."""
+    comps = [1 << j for j in range(width)]
+    for mask in masks:
+        merged = 0
+        rest = []
+        for c in comps:
+            if c & mask:
+                merged |= c
+            else:
+                rest.append(c)
+        rest.append(merged)
+        comps = rest
+    return comps
+
+
 def direction_components(a: Type) -> tuple[int, ...]:
     """Connected components (as bitmasks) of the graph on directions whose
-    edges are pairs appearing together in some coordinate of a."""
-    neigh = [0] * (a.d + 1)
-    for mask in a.coords:
-        for j in elements_of(mask):
-            neigh[j] |= mask
-    seen = 0
-    comps = []
-    for j in range(1, a.d + 1):
-        jb = 1 << (j - 1)
-        if seen & jb:
-            continue
-        comp = jb
-        frontier = jb
-        while frontier:
-            grow = 0
-            for v in elements_of(frontier):
-                grow |= neigh[v]
-            frontier = grow & ~comp
-            comp |= grow
-        comps.append(comp)
-        seen |= comp
-    return tuple(comps)
+    edges are pairs appearing together in some coordinate of a, ordered by
+    smallest direction."""
+    return tuple(sorted(_components(a.coords, a.d), key=lambda c: c & -c))
 
 
 def dimension(a: Type) -> int:
@@ -95,60 +97,41 @@ def is_refinement_of(b: Type, a: Type) -> OrderedPartition | None:
         if bm & ~am:
             return None
 
-    parent = list(range(d + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for bm in b.coords:
-        els = elements_of(bm)
-        for k in els[1:]:
-            ra, rb = find(els[0]), find(k)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
     involved = 0
     for am in a.coords:
         involved |= am
+    # the equivalence classes forced by b, in order of smallest element
+    classes = [c for c in direction_components(b) if c & involved]
 
     # precedence: the class of every stripped element comes before the class
     # kept by that coordinate
-    edges: set[tuple[int, int]] = set()
+    succ: list[set[int]] = [set() for _ in classes]
     for bm, am in zip(b.coords, a.coords):
-        kept = find(elements_of(bm)[0])
-        for k in elements_of(am & ~bm):
-            kr = find(k)
-            if kr == kept:
-                return None
-            edges.add((kr, kept))
+        kept = next(x for x, c in enumerate(classes) if c & bm)
+        for x, c in enumerate(classes):
+            if c & am & ~bm:
+                if x == kept:
+                    return None
+                succ[x].add(kept)
 
-    roots = sorted({find(j) for j in elements_of(involved)})
-    succ: dict[int, set[int]] = {r: set() for r in roots}
-    indeg = {r: 0 for r in roots}
-    for x, y in edges:
-        if y not in succ[x]:
-            succ[x].add(y)
+    indeg = [0] * len(classes)
+    for s in succ:
+        for y in s:
             indeg[y] += 1
-    heap = [r for r in roots if indeg[r] == 0]
+    heap = [x for x in range(len(classes)) if indeg[x] == 0]
     heapq.heapify(heap)
     order = []
     while heap:
-        r = heapq.heappop(heap)
-        order.append(r)
-        for s in sorted(succ[r]):
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                heapq.heappush(heap, s)
-    if len(order) != len(roots):
+        x = heapq.heappop(heap)
+        order.append(x)
+        for y in sorted(succ[x]):
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                heapq.heappush(heap, y)
+    if len(order) != len(classes):
         return None  # the forced precedences are cyclic
 
-    class_mask = dict.fromkeys(roots, 0)
-    for j in elements_of(involved):
-        class_mask[find(j)] |= 1 << (j - 1)
-    parts = [class_mask[r] for r in order]
+    parts = [classes[x] for x in order]
     parts[0] |= ((1 << d) - 1) & ~involved
     return OrderedPartition(d, tuple(parts))
 
@@ -186,8 +169,9 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
     A candidate survives when every one of its total refinements is a given
     tope and its comparability graph against every tope is acyclic.  The
     full candidate space (2^d - 1)^n is scanned in chunks of
-    _CANDIDATE_CHUNK candidates, with the refinement test (one lookup table
-    per linear order on the directions) applied first.
+    _CANDIDATE_CHUNK candidates, with the refinement test (one row of the
+    shared table ``axioms._latest`` per linear order on the directions, so
+    d <= 8) applied first.
     """
     n, d = tope_set.n, tope_set.d
     for t in tope_set:
@@ -199,19 +183,13 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
         raise SearchSpaceTooLargeError(
             f"candidate space {space} exceeds {_RECONSTRUCT_CAP}"
         )
+    tables = _latest(d)
 
     # a tope is coded by the 0-based directions of its coordinates in base d
     is_given = np.zeros(d**n, dtype=bool)
     for t in tope_set:
         is_given[sum((c.bit_length() - 1) * d**i for i, c in enumerate(t.coords))] = True
     place = d ** np.arange(n)
-    # latest[mask] under a linear order = the order-latest direction of mask
-    masks = np.arange(1 << d)
-    member = (masks[:, None] >> np.arange(d)) & 1 == 1
-    tables = [
-        np.where(member, rank, -1).argmax(axis=1)
-        for rank in map(np.argsort, itertools.permutations(range(d)))
-    ]
 
     survivors = []
     digits = base ** np.arange(n - 1, -1, -1)

@@ -14,9 +14,10 @@ A collection of cells is a subdivision exactly when
 
 Triangulation mode takes cell facets to be single-edge removals (every bond
 of a tree is one edge).  General mode enumerates bonds as vertex
-bipartitions with connected sides, keeping only one-directional cuts (all
-crossing edges from one side's left vertices to the other side's rights) —
-the cuts that actually support a face of the product polytope.
+bipartitions with connected sides (``structure._components`` finds two
+components in the cut's complement), keeping only one-directional cuts
+(all crossing edges from one side's left vertices to the other side's
+rights) — the cuts that actually support a face of the product polytope.
 
 Both (1) and (3) read the cells' left rows as types: a cell spans when its
 rows are nonempty and form a zero-dimensional type, and two cells have an
@@ -42,10 +43,11 @@ from .core import (
     SearchSpaceTooLargeError,
     TomTypeSet,
     Type,
+    _nonempty_submasks,
     elements_of,
     read_shaped,
 )
-from .structure import is_vertex, vertices
+from .structure import _components, is_vertex, vertices
 
 # Spanning-tree budget for the triangulation census.  1000 admits every
 # shape that finishes in seconds; the first shapes past it ((4,4), (3,5))
@@ -179,27 +181,11 @@ class SubgraphCollection:
 # graph helpers (vertices 0..n-1 on the left, n..n+d-1 on the right)
 
 
-def _adjacency(n: int, d: int, edges: frozenset[Edge]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n + d)]
-    for i, j in edges:
-        adj[i - 1].append(n + j - 1)
-        adj[n + j - 1].append(i - 1)
-    return adj
-
-
 def _spans(cell: BipartiteSubgraph) -> bool:
     """True when the cell covers and connects all of K_{n,d}: every left row
     is nonempty and the type the rows form is zero-dimensional."""
     rows = cell.left_masks()
     return all(rows) and is_vertex(Type(cell.n, cell.d, rows))
-
-
-def _has_isolated_vertex(n: int, d: int, edges: frozenset[Edge]) -> bool:
-    touched: set[int] = set()
-    for i, j in edges:
-        touched.add(i - 1)
-        touched.add(n + j - 1)
-    return len(touched) < n + d
 
 
 def _alternating_cycle(
@@ -311,61 +297,58 @@ class SubdivisionReport:
         return obj
 
 
-def _facet_candidates_tree(cell: BipartiteSubgraph) -> list[frozenset[Edge]]:
-    return [cell.edges - {e} for e in sorted(cell.edges)]
-
-
-def _side_connected(adj: list[list[int]], members: list[int], side: set[int]) -> bool:
-    if not members:
-        return False
-    seen = {members[0]}
-    stack = [members[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w in side and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(members)
-
-
 def _facet_candidates_general(cell: BipartiteSubgraph) -> list[frozenset[Edge]]:
-    """Bond complements that are one-directional cuts, i.e. candidate faces."""
+    """Bond complements that are one-directional cuts, i.e. candidate faces.
+
+    Left vertex 1 stays on side 0; ``right1`` holds the directions and
+    ``left1`` the left vertices (bit i - 1 for vertex i) on side 1, with
+    right1 varying slowest.  A bipartition is a bond when both sides are
+    connected, i.e. its complement has two components, and then the
+    complement determines it.
+    """
     n, d = cell.n, cell.d
-    nv = n + d
-    bipartitions = (1 << (nv - 1)) - 1
+    bipartitions = (1 << (n + d - 1)) - 1
     if bipartitions > _BIPARTITION_CAP:
         raise SearchSpaceTooLargeError(
             f"a K_({n},{d}) cell has {bipartitions} vertex bipartitions,"
             f" over the cap of {_BIPARTITION_CAP}"
         )
-    adj = _adjacency(n, d, cell.edges)
+    rows = cell.left_masks()
     out: list[frozenset[Edge]] = []
-    seen: set[frozenset[Edge]] = set()
-    for assign in range(1, bipartitions + 1):
-        side1 = {v for v in range(1, nv) if (assign >> (v - 1)) & 1}
-        side0 = set(range(nv)) - side1
-        crossing = set()
-        direction: set[int] = set()
-        for i, j in cell.edges:
-            li, rj = i - 1, n + j - 1
-            s_l = li in side1
-            s_r = rj in side1
-            if s_l != s_r:
-                crossing.add((i, j))
-                direction.add(s_l)
-        if not crossing or len(direction) == 2:
-            continue
-        if not _side_connected(adj, sorted(side0), side0):
-            continue
-        if not _side_connected(adj, sorted(side1), side1):
-            continue
-        rest = cell.edges - crossing
-        if rest in seen:
-            continue
-        seen.add(rest)
-        out.append(rest)
+    for right1 in range(1 << d):
+        # bit i - 1: left vertex i has an edge into side 1, into side 0
+        into1 = sum(1 << i for i, row in enumerate(rows) if row & right1)
+        into0 = sum(1 << i for i, row in enumerate(rows) if row & ~right1)
+        for left1 in range(0 if right1 else 2, 1 << n, 2):
+            # one-directional: edges cross from side 1 or from side 0, not both
+            if bool(left1 & into0) == bool(into1 & ~left1):
+                continue
+            kept = [
+                row & (right1 if left1 >> i & 1 else ~right1) for i, row in enumerate(rows)
+            ]
+            # vertex bits: left vertex i is bit i - 1, direction j is bit n + j - 1
+            joins = [1 << i | row << n for i, row in enumerate(kept)]
+            if len(_components(joins, n + d)) == 2:
+                out.append(frozenset(
+                    (i, j) for i, row in enumerate(kept, 1) for j in elements_of(row)
+                ))
     return out
+
+
+def _interior_facets(
+    cell: BipartiteSubgraph, triangulation: bool
+) -> list[frozenset[Edge]]:
+    """The cell's facets that leave no vertex of K_{n,d} isolated: every
+    single-edge removal in triangulation mode, the one-directional bond
+    complements otherwise.  The others lie on the boundary."""
+    if triangulation:
+        candidates = [cell.edges - {e} for e in cell.edge_list()]
+    else:
+        candidates = _facet_candidates_general(cell)
+    return [
+        rest for rest in candidates
+        if len({i for i, _ in rest}) == cell.n and len({j for _, j in rest}) == cell.d
+    ]
 
 
 def check_subdivision(
@@ -390,14 +373,7 @@ def check_subdivision(
     facet_viol: list[tuple[int, tuple[Edge, ...]]] = []
     facet_total = 0
     for idx, cell in enumerate(cells, start=1):
-        candidates = (
-            _facet_candidates_tree(cell)
-            if triangulation
-            else _facet_candidates_general(cell)
-        )
-        for rest in candidates:
-            if not rest or _has_isolated_vertex(n, d, rest):
-                continue  # boundary facet
+        for rest in _interior_facets(cell, triangulation):
             if any(
                 rest <= other.edges
                 for k, other in enumerate(cells, start=1)
@@ -459,16 +435,6 @@ def require_triangulation(c: SubgraphCollection) -> None:
         raise NotATriangulationError("the collection fails the triangulation conditions")
 
 
-def _nonempty_submasks(mask: int) -> list[int]:
-    subs = []
-    sub = 0
-    while True:
-        sub = (sub - mask) & mask
-        if sub == 0:
-            return subs
-        subs.append(sub)
-
-
 def triangulation_types(c: SubgraphCollection) -> TomTypeSet:
     """The type set of a triangulation: all row-subset selections of cells.
 
@@ -527,12 +493,8 @@ def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
     owners: dict[frozenset[Edge], int] = {}
     internal_facets: list[list[frozenset[Edge]]] = []
     for ti, t in enumerate(trees):
-        mine = []
-        for e in t.edge_list():
-            s = t.edges - {e}
-            if _has_isolated_vertex(n, d, s):
-                continue
-            mine.append(s)
+        mine = _interior_facets(t, triangulation=True)
+        for s in mine:
             owners[s] = owners.get(s, 0) | 1 << ti
         internal_facets.append(mine)
 

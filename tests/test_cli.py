@@ -258,3 +258,26 @@ def test_general_mode_check_refuses_too_many_bipartitions(monkeypatch, capsys):
     assert code == 2
     assert not out
     assert "over the cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tom", "check"],
+        ["tom", "from-arrangement"],
+        ["subdiv", "check"],
+        ["cayley", "render"],
+    ],
+)
+def test_over_nested_json_is_unusable_input(monkeypatch, capsys, argv):
+    deep = "[" * 100_000 + "]" * 100_000
+    code, out, err = invoke(monkeypatch, capsys, argv, deep)
+    assert (code, out) == (2, "")
+    assert err == "error: input JSON is nested too deeply\n"
+
+
+def test_reconstruct_topes_refuses_nine_directions(monkeypatch, capsys):
+    topes = json.dumps({"n": 1, "d": 9, "types": [[[j]] for j in range(1, 10)]})
+    code, out, err = invoke(monkeypatch, capsys, ["tom", "reconstruct-topes"], topes)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 9! singleton orders exceed")
