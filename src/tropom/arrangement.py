@@ -28,10 +28,11 @@ _VERTEX_CAP = 10**6
 def _as_fraction(value: object) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if type(value) in (int, str):
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            pass
     raise ValueError(f"not an exact rational: {value!r}")
 
 
@@ -78,9 +79,9 @@ class Arrangement:
     apexes: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise ValueError(f"need at least one hyperplane, got n={self.n}")
-        if not isinstance(self.d, int) or self.d < 1:
+        if type(self.d) is not int or self.d < 1:
             raise ValueError(f"need at least one direction, got d={self.d}")
         rows = tuple(self.apexes)
         if len(rows) != self.n:
@@ -102,7 +103,7 @@ class Arrangement:
     @classmethod
     def from_obj(cls, obj: object) -> "Arrangement":
         n, d, raw = read_shaped(obj, "an arrangement", "apexes")
-        if not isinstance(raw, list):
+        if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
             raise ValueError("apexes must be an array of rows")
         return cls(n, d, tuple(tuple(row) for row in raw))
 

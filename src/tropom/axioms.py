@@ -235,24 +235,10 @@ def _cycle_pairs(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     when the comparability graph of (A, B) has a closed walk through a
     one-way arc, i.e. has_directed_cycle(comparability_graph(A, B)).
 
-    Pairs are taken in chunks along the leading axis of the broadcast shape,
-    at most _PAIR_BUDGET pairs at a time unless one row alone holds more.
+    All pairs are taken in one pass, so callers bound the pairs of a call;
+    ``_upper_pairs`` is the chunker.
     """
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    verdict = np.zeros(shape, dtype=bool)
-    if verdict.size == 0:
-        return verdict
-    rows = max(1, _PAIR_BUDGET * shape[0] // verdict.size)
     bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
-    for r0 in range(0, shape[0], rows):
-        ac = a[r0 : r0 + rows] if a.shape[0] > 1 else a
-        bc = b[r0 : r0 + rows] if b.shape[0] > 1 else b
-        verdict[r0 : r0 + rows] = _cycle_chunk(ac, bc, bits)
-    return verdict
-
-
-def _cycle_chunk(a: np.ndarray, b: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    d = len(bits)
     pairs = np.broadcast_shapes(a.shape, b.shape)[:-1]
     # out[..., j]: every head of an arc leaving direction j+1;
     # one[..., j]: the heads of the one-way arcs among them

@@ -13,6 +13,12 @@ summing to n, sits at axial (u, v) = (p2, p3); the plane map is
 x = u + v/2, y = v * sqrt(3)/2, with y flipped for SVG.  The area unit is
 the upward unit triangle, computed as twice the axial shoelace area.
 
+A fine cell's lattice points are its choices of one direction per
+coordinate: ``_cell_points`` maps each choice (a tuple of directions, in
+``itertools.product`` order) to its lattice point.  The polygon is the hull
+of those points, and a rhombus's midlines join midpoints of its edges,
+read off the same map.
+
 Every polygon corner is a lattice point, so polygons, areas and the overlap
 tests run on plain ints.  The only other points are the pseudoline segment
 ends: edge midpoints (halves) and triangle centroids (thirds), kept exact as
@@ -264,13 +270,13 @@ def _mid(p: Axial, q: Axial) -> Point:
     return (Fraction(p[0] + q[0], 2), Fraction(p[1] + q[1], 2))
 
 
-def _cell_points(a: Type) -> list[Axial]:
-    pts = []
+def _cell_points(a: Type) -> dict[tuple[int, ...], Axial]:
+    pts = {}
     for choice in itertools.product(*(elements_of(m) for m in a.coords)):
         bary = [0, 0, 0]
         for j in choice:
             bary[j - 1] += 1
-        pts.append(_axial((bary[0], bary[1], bary[2])))
+        pts[choice] = _axial((bary[0], bary[1], bary[2]))
     return pts
 
 
@@ -301,7 +307,8 @@ def embed(c: SubgraphCollection) -> tuple[EmbeddedCell, ...]:
     for index, cell in enumerate(c.cells, start=1):
         t = subgraph_to_type(cell)
         piece = classify_piece(t)
-        poly = _hull(_cell_points(t))
+        pts = _cell_points(t)
+        poly = _hull(list(pts.values()))
         expected = 1 if piece.kind == "triangle" else 2
         if len(poly) != expected + 2 or _doubled_area(poly) != expected:
             raise EmbeddingInconsistentError(
@@ -323,33 +330,16 @@ def embed(c: SubgraphCollection) -> tuple[EmbeddedCell, ...]:
             for a_pt, b_pt in ((p0, p1), (p1, p2), (p2, p0)):
                 segments.append((row, centroid, _mid(a_pt, b_pt)))
         else:
-            # corners of the rhombus as summand choices: index by the two
-            # segment rows' picks so each midline bisects one summand
-            r1, r2 = piece.positions
-            m1 = t.coords[r1 - 1]
-            m2 = t.coords[r2 - 1]
-            base = [0, 0, 0]
-            for i, m in enumerate(t.coords, start=1):
-                if i not in (r1, r2):
-                    base[elements_of(m)[0] - 1] += 1
-
-            def corner(j1: int, j2: int) -> Axial:
-                bary = list(base)
-                bary[j1 - 1] += 1
-                bary[j2 - 1] += 1
-                return _axial((bary[0], bary[1], bary[2]))
-
-            (a1, b1) = elements_of(m1)
-            (a2, b2) = elements_of(m2)
-            # midline bisecting summand r1, for both choices of r2
-            segments.append(
-                (r1, _mid(corner(a1, a2), corner(b1, a2)),
-                     _mid(corner(a1, b2), corner(b1, b2)))
-            )
-            segments.append(
-                (r2, _mid(corner(a1, a2), corner(a1, b2)),
-                     _mid(corner(b1, a2), corner(b1, b2)))
-            )
+            # the midline of segment row r joins the midpoints of the two
+            # edges along which only r's choice changes, one per choice of
+            # the other segment row s, smaller direction first
+            for r in piece.positions:
+                s = sum(piece.positions) - r
+                ends = [
+                    _mid(*(p for choice, p in pts.items() if choice[s - 1] == j))
+                    for j in elements_of(t.coords[s - 1])
+                ]
+                segments.append((r, *ends))
         out.append(
             EmbeddedCell(
                 index=index,

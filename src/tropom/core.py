@@ -119,9 +119,9 @@ def _validate_mask(mask: int, d: int, position: int, allow_empty: bool) -> None:
 
 
 def _validate_dims(n: int, d: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"need at least one coordinate, got n={n}")
-    if not isinstance(d, int) or not 1 <= d <= MAX_DIRECTIONS:
+    if type(d) is not int or not 1 <= d <= MAX_DIRECTIONS:
         raise ValueError(f"direction count d={d} outside [1, {MAX_DIRECTIONS}]")
 
 

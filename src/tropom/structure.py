@@ -171,7 +171,8 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
     full candidate space (2^d - 1)^n is scanned in chunks of
     _CANDIDATE_CHUNK candidates, with the refinement test (one row of the
     shared table ``axioms._latest`` per linear order on the directions, so
-    d <= 8) applied first.
+    d <= 8) applied first and the cycle test then run against one tope at
+    a time, so no kernel call sees more than _CANDIDATE_CHUNK pairs.
     """
     n, d = tope_set.n, tope_set.d
     for t in tope_set:
@@ -191,8 +192,9 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
         is_given[sum((c.bit_length() - 1) * d**i for i, c in enumerate(t.coords))] = True
     place = d ** np.arange(n)
 
-    survivors = []
+    kept = []
     digits = base ** np.arange(n - 1, -1, -1)
+    T = _masks(tope_set)
     for start in range(0, space, _CANDIDATE_CHUNK):
         q = np.arange(start, min(start + _CANDIDATE_CHUNK, space))
         cand = q[:, None] // digits % base + 1  # itertools.product order
@@ -200,13 +202,11 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
             cand = cand[is_given[latest[cand] @ place]]
             if not len(cand):
                 break
-        survivors.append(cand)
-    C = np.concatenate(survivors).astype(np.uint64)
-    kept = []
-    if len(C):
-        T = _masks(tope_set)
-        cyclic = _cycle_pairs(C[:, None, :], T[None, :, :], d).any(axis=1)
-        kept = [Type(n, d, tuple(c)) for c in C[~cyclic].tolist()]
+        else:  # some candidates passed every table: test them tope by tope
+            cand = cand.astype(np.uint64)
+            for tope in T:
+                cand = cand[~_cycle_pairs(cand, tope, d)]
+            kept += [Type(n, d, tuple(c)) for c in cand.tolist()]
     return TomTypeSet(n, d, tuple(kept))
 
 

@@ -93,7 +93,7 @@ class BipartiteSubgraph:
             raise ValueError("a cell is an array of [i, j] edges")
         edges = []
         for entry in obj:
-            if not (isinstance(entry, list) and len(entry) == 2):
+            if not (isinstance(entry, list) and list(map(type, entry)) == [int, int]):
                 raise ValueError(f"not an edge: {entry!r}")
             edges.append((entry[0], entry[1]))
         return cls(n, d, frozenset(edges))
@@ -158,6 +158,8 @@ class SubgraphCollection:
     @classmethod
     def from_obj(cls, obj: object) -> "SubgraphCollection":
         n, d, raw = read_shaped(obj, "a collection", "cells")
+        if type(n) is not int or type(d) is not int:
+            raise ValueError(f"n and d must be integers, got n={n!r}, d={d!r}")
         if not isinstance(raw, list) or not raw:
             raise ValueError("cells must be a nonempty array")
         cells = tuple(BipartiteSubgraph.from_obj(entry, n, d) for entry in raw)
@@ -484,11 +486,15 @@ def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
     k = len(trees)
 
     # bitmasks over the trees: compatible[a] holds the trees with no
-    # alternating cycle against tree a, owners[s] the trees with facet s
+    # alternating cycle against tree a, owners[s] the trees with facet s;
+    # the cycle test is symmetric, so each pair a < b is asked once
     rows = np.array([t.left_masks() for t in trees], dtype=np.uint64)
+    ok = np.eye(k, dtype=bool)
+    for a, b in _upper_pairs(k):
+        ok[a, b] = ok[b, a] = ~_cycle_pairs(rows[a], rows[b], d)
     compatible = [
-        int.from_bytes(np.packbits(ok, bitorder="little").tobytes(), "little")
-        for ok in ~_cycle_pairs(rows[:, None], rows[None], d)
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        for row in ok
     ]
     owners: dict[frozenset[Edge], int] = {}
     internal_facets: list[list[frozenset[Edge]]] = []

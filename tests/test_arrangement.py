@@ -48,6 +48,13 @@ def test_floats_are_rejected():
         Arrangement.from_coords([[0.1, 0], [0, 0]])
 
 
+def test_arrangement_counts_reject_booleans():
+    with pytest.raises(ValueError, match="n=True"):
+        Arrangement.from_obj({"n": True, "d": 2, "apexes": [[0, 0]]})
+    with pytest.raises(ValueError, match="d=True"):
+        Arrangement(1, True, ((0,),))
+
+
 def test_arrangement_normalizes_rows():
     arr = prism_arrangement()
     assert arr.apexes[0] == (Fraction(0), Fraction(0), Fraction(0))

@@ -276,6 +276,25 @@ def test_over_nested_json_is_unusable_input(monkeypatch, capsys, argv):
     assert err == "error: input JSON is nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["tom", "check"], '{"n": 2, "d": true, "types": [[[1], [1]]]}'),
+        (["tom", "from-arrangement"], '{"n": true, "d": 2, "apexes": [[0, 0]]}'),
+        (["tom", "from-arrangement"], '{"n": 2, "d": 2, "apexes": [[0, 0], 5]}'),
+        (["tom", "from-arrangement"], '{"n": 1, "d": 2, "apexes": [["1/0", 0]]}'),
+        (["subdiv", "check"], '{"n": 2, "d": 2, "cells": [[["1", 1]]]}'),
+        (["subdiv", "check"], '{"n": 2, "d": 2, "cells": [[[1.0, 1]]]}'),
+        (["subdiv", "check"], '{"n": 1, "d": 1, "cells": [[[true, 1]]]}'),
+        (["subdiv", "check"], '{"n": "2", "d": 2, "cells": [[[1, 1]]]}'),
+    ],
+)
+def test_malformed_shapes_and_entries_are_unusable_input(monkeypatch, capsys, argv, text):
+    code, out, err = invoke(monkeypatch, capsys, argv, text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_reconstruct_topes_refuses_nine_directions(monkeypatch, capsys):
     topes = json.dumps({"n": 1, "d": 9, "types": [[[j]] for j in range(1, 10)]})
     code, out, err = invoke(monkeypatch, capsys, ["tom", "reconstruct-topes"], topes)

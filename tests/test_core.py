@@ -64,6 +64,13 @@ def test_type_dimension_guard():
         make_type(1, 65, [list(range(1, 66))])
 
 
+def test_counts_reject_booleans():
+    with pytest.raises(ValueError, match="d=True"):
+        TomTypeSet.from_obj({"n": 2, "d": True, "types": [[[1], [1]]]})
+    with pytest.raises(ValueError, match="n=True"):
+        Type(True, 2, (1,))
+
+
 def test_constant_type():
     assert constant_type(3, 4, 2) == T(4, "2", "2", "2")
     with pytest.raises(OutOfRangeError):

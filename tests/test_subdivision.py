@@ -16,6 +16,7 @@ from tropom import (
     check_subdivision,
     conjecture_probe,
     enumerate_triangulations,
+    refinement_closure,
     subgraph_to_type,
     tom_to_subdivision,
     triangulation_types,
@@ -159,6 +160,31 @@ def test_census_entries_are_valid_and_distinct():
     assert len(set(tris)) == len(tris)
     for c in tris:
         assert check_subdivision(c, triangulation=True).ok
+
+
+def test_census_asks_each_tree_pair_once(monkeypatch):
+    # the alternating-cycle test is symmetric, so the 81 spanning trees of
+    # K_{3,3} send their 81 * 80 / 2 unordered pairs to the kernel, not 81^2
+    sent = []
+    kernel = subdivision._cycle_pairs
+
+    def counted(a, b, d):
+        verdict = kernel(a, b, d)
+        sent.append(verdict.size)
+        return verdict
+
+    monkeypatch.setattr(subdivision, "_cycle_pairs", counted)
+    assert len(enumerate_triangulations(3, 3)) == 108
+    assert sum(sent) == 3240
+
+
+@pytest.mark.parametrize("n,d", [(3, 3), (2, 4), (2, 5)])
+def test_census_types_are_the_refinements_of_the_cells(n, d):
+    # the dictionary: a triangulation's types are its cells' types and all
+    # their refinements
+    for c in enumerate_triangulations(n, d):
+        cells = (subgraph_to_type(x) for x in c.cells)
+        assert triangulation_types(c) == refinement_closure(cells)
 
 
 def test_census_cap():
