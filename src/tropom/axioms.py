@@ -11,8 +11,8 @@ A type set is a tropical oriented matroid when it satisfies:
 * surrounding   — every refinement of a member is a member.
 
 ``check_axioms`` sweeps all four and returns a report carrying witnesses for
-whatever failed.  All sweeps work on raw coordinate masks; ``Type`` objects
-are only looked up for the witnesses.
+whatever failed.  All sweeps work on the set's mask rows ``m.rows``; ``Type``
+objects are only looked up for the witnesses.
 
 Elimination and comparability are symmetric in A and B, so both visit only
 the pairs a < b, in row chunks of at most ``_PAIR_BUDGET`` pairs
@@ -33,11 +33,13 @@ alternating-cycle condition of ``subdivision`` call it.  The witness is
 for the pairs the kernel flagged.
 
 Refining along (P1|…|Pk) is refining in turn along the two-block partitions
-whose later block is Pk, then P(k-1), down to P2.  So a set is closed under
-refinement, and satisfies surrounding, exactly when it is closed under the
-2^d - 2 two-block refinements (``_two_block_refinements``).  The surrounding
-verdict and ``structure.refinement_closure`` use those alone; the witnesses
-of a failing set are still listed over every ordered partition.
+whose later block is Pk, then P(k-1), down to P2; ``_refine_rows`` does just
+that, on whole arrays of rows at once.  So a set is closed under refinement,
+and satisfies surrounding, exactly when it is closed under the 2^d - 2
+two-block refinements (``_two_block_parts``).  The surrounding verdict and
+``structure.refinement_closure`` use those alone; the witnesses of a failing
+set are still listed over every ordered partition.  ``_refined_blocks``
+feeds all three, at most ``_PAIR_BUDGET`` (row, partition) pairs at a time.
 
 Each failure list keeps its first ``_MAX_REPORTED_FAILURES`` entries and
 comes with the number of all failures.
@@ -59,7 +61,6 @@ from .core import (
     TomTypeSet,
     Type,
     _nonempty_submasks,
-    constant_type,
     elements_of,
 )
 
@@ -74,16 +75,15 @@ _MAX_REPORTED_FAILURES = 10**5
 # refinement
 
 
-def _refine_coords(coords: tuple[int, ...], parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Each coordinate intersected with the last part it meets."""
-    out = []
-    for mask in coords:
-        for part in reversed(parts):
-            hit = mask & part
-            if hit:
-                out.append(hit)
-                break
-    return tuple(out)
+def _refine_rows(rows: np.ndarray, parts) -> np.ndarray:
+    """uint64 mask rows refined along an ordered partition: each coordinate
+    intersected with the last part it meets.  The parts broadcast against
+    the rows; the first is never read, as a coordinate meeting no later part
+    lies inside it."""
+    for part in parts[:0:-1]:
+        hit = rows & part
+        rows = np.where(hit != 0, hit, rows)
+    return rows
 
 
 def refine(a: Type, p: OrderedPartition) -> Type:
@@ -94,22 +94,33 @@ def refine(a: Type, p: OrderedPartition) -> Type:
     """
     if p.d != a.d:
         raise ValueError(f"partition of {p.d} directions against a d={a.d} type")
-    return Type(a.n, a.d, _refine_coords(a.coords, p.parts))
+    rows = _refine_rows(np.array(a.coords, dtype=np.uint64), p.parts)
+    return Type(a.n, a.d, tuple(rows.tolist()))
 
 
-def _two_block_refinements(coords: tuple[int, ...], d: int) -> Iterator[tuple[int, ...]]:
-    """The coordinates refined along each two-block partition (rest | L).
-
-    L runs over the 2^d - 2 nonempty proper subsets of the directions; a
-    coordinate c becomes c & L when that is nonempty and stays c otherwise.
-    Every refinement along an ordered partition is a sequence of these.
-    """
+def _two_block_parts(d: int) -> np.ndarray:
+    """The 2^d - 2 two-block partitions (rest | L), one row each, L running
+    over the nonempty proper subsets of the directions in increasing order.
+    Every refinement along an ordered partition is a sequence of these."""
     if d > _MAX_TWO_BLOCK_DIRECTIONS:
         raise SearchSpaceTooLargeError(
             f"two-block partitions of {d} directions exceed the enumeration cap"
         )
-    for later in range(1, (1 << d) - 1):
-        yield tuple(c & later or c for c in coords)
+    later = np.arange(1, (1 << d) - 1, dtype=np.uint64)
+    return np.stack([later ^ np.uint64((1 << d) - 1), later], axis=1)
+
+
+def _refined_blocks(
+    rows: np.ndarray, parts: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every row refined along every partition, row-major, in blocks of at
+    most _PAIR_BUDGET (row, partition) pairs: yields the row indices, the
+    partition indices and the refined rows of each block.  parts is a (P, w)
+    array, shorter partitions padded with leading zeros (empty parts)."""
+    total = len(rows) * len(parts)
+    for start in range(0, total, _PAIR_BUDGET):
+        r, p = np.divmod(np.arange(start, min(start + _PAIR_BUDGET, total)), len(parts))
+        yield r, p, _refine_rows(rows[r], parts[p].T[:, :, None])
 
 
 @lru_cache(maxsize=None)
@@ -343,31 +354,19 @@ def elimination_witnesses(
         raise ValueError("types do not match the set's shape")
     if not 1 <= j <= m.n:
         raise ValueError(f"position {j} out of range 1..{m.n}")
-    union = tuple(x | y for x, y in zip(a.coords, b.coords))
-    found = []
-    for c in m.types:
-        if c.coords[j - 1] != union[j - 1]:
-            continue
-        if all(
-            ck in (ak, bk, uk)
-            for ck, ak, bk, uk in zip(c.coords, a.coords, b.coords, union)
-        ):
-            found.append(c)
-    return tuple(found)
+    A = np.array(a.coords, dtype=np.uint64)
+    B = np.array(b.coords, dtype=np.uint64)
+    M = m.rows
+    keep = ((M == A) | (M == B) | (M == A | B)).all(axis=1)
+    keep &= M[:, j - 1] == A[j - 1] | B[j - 1]
+    return tuple(m.types[i] for i in np.flatnonzero(keep).tolist())
 
 
 def check_boundary(m: TomTypeSet) -> tuple[bool, tuple[int, ...]]:
-    missing = tuple(
-        j
-        for j in range(1, m.d + 1)
-        if not m.has_coords(constant_type(m.n, m.d, j).coords)
-    )
+    constant = np.left_shift(np.uint64(1), np.arange(m.d, dtype=np.uint64))
+    found = m.has_rows(np.repeat(constant[:, None], m.n, axis=1))
+    missing = tuple((np.flatnonzero(~found) + 1).tolist())
     return not missing, missing
-
-
-def _masks(m: TomTypeSet) -> np.ndarray:
-    """The coordinate masks of the set's types, shape (K, n)."""
-    return np.array([t.coords for t in m.types], dtype=np.uint64).reshape(-1, m.n)
 
 
 def _upper_pairs(k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -398,7 +397,7 @@ def check_elimination(
     are kept, and the number returned counts all of them.
     """
     k, n = len(m.types), m.n
-    M = _masks(m)
+    M = m.rows
     # one bitset row per (position i, value at i); rank[c, i] is the row of
     # type c's value, values[i] locates other values, the last row is empty
     rank = np.empty((k, n), dtype=np.intp)
@@ -465,7 +464,7 @@ def check_comparability(
     """The comparability verdict, its failures (A, B, walk) for the pairs
     a < b in set order, the first _MAX_REPORTED_FAILURES only, and their
     number."""
-    M = _masks(m)
+    M = m.rows
     # the graph of (b, a) is the graph of (a, b) reversed, and the graph of
     # (a, a) has no one-way arc: check a < b only
     failures = []
@@ -490,19 +489,25 @@ def check_surrounding(
     ordered partition) pairs of a failing set are counted type by type and
     the first _MAX_REPORTED_FAILURES kept.
     """
-    if all(
-        m.has_coords(r) for t in m.types for r in _two_block_refinements(t.coords, m.d)
+    if not m.types or all(
+        m.has_rows(refined).all()
+        for *_, refined in _refined_blocks(m.rows, _two_block_parts(m.d))
     ):
         return True, (), 0
-    parts = ordered_partitions(m.d)
+    partitions = ordered_partitions(m.d)
+    parts = np.zeros((len(partitions), m.d), dtype=np.uint64)
+    for row, p in zip(parts, partitions):
+        row[m.d - len(p.parts) :] = p.parts
     failures = []
     total = 0
-    for t in m.types:
-        for p in parts:
-            if not m.has_coords(_refine_coords(t.coords, p.parts)):
-                total += 1
-                if len(failures) < _MAX_REPORTED_FAILURES:
-                    failures.append((t, p))
+    for r, p, refined in _refined_blocks(m.rows, parts):
+        miss = np.flatnonzero(~m.has_rows(refined))
+        total += len(miss)
+        keep = miss[: _MAX_REPORTED_FAILURES - len(failures)]
+        failures += [
+            (m.types[x], partitions[y])
+            for x, y in zip(r[keep].tolist(), p[keep].tolist())
+        ]
     return False, tuple(failures), total
 
 

@@ -20,7 +20,14 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, TypeVar
 
+import numpy as np
+
 MAX_DIRECTIONS = 64
+# completion lists K·2^n semitypes.  The largest dual the tests, demos and
+# benchmark take is a (6,5) arrangement's, 2561·2^6 = 163,904 semitypes;
+# 2^18 admits it, and refuses at once what would run for hours (two types
+# of n = 64 coordinates have 2^65 semitypes)
+_COMPLETION_CAP = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -323,30 +330,49 @@ class Semidigraph:
 # type sets
 
 
-def _canon_types(n: int, d: int, types: Iterable[Type]) -> tuple[Type, ...]:
-    seen: dict[tuple[int, ...], Type] = {}
-    for t in types:
-        if not isinstance(t, Type):
-            raise TypeError(f"not a Type: {t!r}")
-        if (t.n, t.d) != (n, d):
-            raise ValueError(f"type {t} has shape ({t.n},{t.d}), expected ({n},{d})")
-        seen[t.coords] = t
-    return tuple(seen[c] for c in sorted(seen))
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row of a (..., n) array of masks: the row's big-endian
+    bytes as one void scalar, so that keys compare as the rows do in
+    canonical (lexicographic) order, whatever n is."""
+    rows = np.ascontiguousarray(rows, dtype=">u8")
+    return rows.view(np.dtype((np.void, 8 * rows.shape[-1])))[..., 0]
+
+
+def _key_rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (len(keys), n) uint64 rows that _row_keys turned into keys."""
+    return keys.view(">u8").reshape(-1, n).astype(np.uint64)
 
 
 @dataclass(frozen=True)
 class TomTypeSet:
-    """A finite set of (n, d)-types in canonical order.  Value semantics."""
+    """A finite set of (n, d)-types in canonical order.  Value semantics.
+
+    ``rows`` holds their masks, a read-only (K, n) uint64 array in the same
+    order; membership is a search on the rows' sorted keys."""
 
     n: int
     d: int
     types: tuple[Type, ...]
-    _lookup: frozenset = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _keys: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _validate_dims(self.n, self.d)
-        object.__setattr__(self, "types", _canon_types(self.n, self.d, self.types))
-        object.__setattr__(self, "_lookup", frozenset(t.coords for t in self.types))
+        pool = tuple(self.types)
+        for t in pool:
+            if not isinstance(t, Type):
+                raise TypeError(f"not a Type: {t!r}")
+            if (t.n, t.d) != (self.n, self.d):
+                raise ValueError(
+                    f"type {t} has shape ({t.n},{t.d}), expected ({self.n},{self.d})"
+                )
+        rows = np.array([t.coords for t in pool], dtype=np.uint64).reshape(-1, self.n)
+        keys, first = np.unique(_row_keys(rows), return_index=True)
+        rows = rows[first]
+        rows.flags.writeable = False
+        object.__setattr__(self, "types", tuple(pool[i] for i in first.tolist()))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_keys", keys)
 
     @classmethod
     def from_types(cls, types: Iterable[Type]) -> "TomTypeSet":
@@ -377,11 +403,24 @@ class TomTypeSet:
             isinstance(t, Type)
             and t.n == self.n
             and t.d == self.d
-            and t.coords in self._lookup
+            and self.has_coords(t.coords)
         )
 
     def has_coords(self, coords: tuple[int, ...]) -> bool:
-        return coords in self._lookup
+        if len(coords) != self.n or not all(
+            isinstance(c, int) and 0 <= c < 1 << 64 for c in coords
+        ):
+            return False
+        return bool(self.has_rows(np.array(coords, dtype=np.uint64)))
+
+    def has_rows(self, rows: np.ndarray) -> np.ndarray:
+        """One bool per row of a (..., n) uint64 array: is it a member."""
+        keys = _row_keys(rows)
+        pos = np.searchsorted(self._keys, keys)
+        inside = pos < len(self._keys)
+        found = np.zeros(keys.shape, dtype=bool)
+        found[inside] = self._keys[pos[inside]] == keys[inside]
+        return found
 
     def __iter__(self) -> Iterator[Type]:
         return iter(self.types)
@@ -412,6 +451,10 @@ def transpose(s: SemiType) -> SemiType:
 
 def completion(m: TomTypeSet) -> frozenset[SemiType]:
     """All semitypes obtained from members of m by emptying some coordinates."""
+    if len(m) << m.n > _COMPLETION_CAP:
+        raise SearchSpaceTooLargeError(
+            f"completion lists {len(m) << m.n} semitypes, over the cap {_COMPLETION_CAP}"
+        )
     out: set[SemiType] = set()
     for t in m:
         for keep in itertools.product((False, True), repeat=t.n):

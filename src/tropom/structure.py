@@ -18,11 +18,13 @@ from .core import (
     SearchSpaceTooLargeError,
     TomTypeSet,
     Type,
+    _key_rows,
+    _row_keys,
 )
-from .axioms import _cycle_pairs, _latest, _masks, _two_block_refinements
+from . import axioms
+from .axioms import _cycle_pairs, _latest, _refined_blocks, _two_block_parts
 
 _RECONSTRUCT_CAP = 10**7
-_CANDIDATE_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +141,9 @@ def is_refinement_of(b: Type, a: Type) -> OrderedPartition | None:
 def refinement_closure(seeds: TomTypeSet | Iterable[Type]) -> TomTypeSet:
     """Close a collection of types under refinement by ordered partitions.
 
-    Every refinement is a sequence of two-block refinements, so this is a
-    worklist over raw coordinate tuples that adds the 2^d - 2 two-block
-    refinements of each new tuple; the types are built once, at the end.
+    Every refinement is a sequence of two-block refinements, so each round
+    refines the rows found new in the last one along the 2^d - 2 two-block
+    partitions, until no row key is new; the types are built at the end.
     """
     if not isinstance(seeds, TomTypeSet):
         pool = tuple(seeds)
@@ -149,14 +151,15 @@ def refinement_closure(seeds: TomTypeSet | Iterable[Type]) -> TomTypeSet:
             raise ValueError("cannot close an empty collection")
         seeds = TomTypeSet.from_types(pool)
     n, d = seeds.n, seeds.d
-    seen = {t.coords for t in seeds}
-    work = list(seen)
-    while work:
-        for r in _two_block_refinements(work.pop(), d):
-            if r not in seen:
-                seen.add(r)
-                work.append(r)
-    return TomTypeSet(n, d, tuple(Type(n, d, c) for c in seen))
+    known = frontier = _row_keys(seeds.rows)
+    while len(frontier):
+        found = frontier[:0]
+        for *_, refined in _refined_blocks(_key_rows(frontier, n), _two_block_parts(d)):
+            found = np.union1d(found, _row_keys(refined))
+        frontier = np.setdiff1d(found, known, assume_unique=True)
+        known = np.union1d(known, frontier)
+    rows = _key_rows(known, n).tolist()
+    return TomTypeSet(n, d, tuple(Type(n, d, tuple(c)) for c in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +172,10 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
     A candidate survives when every one of its total refinements is a given
     tope and its comparability graph against every tope is acyclic.  The
     full candidate space (2^d - 1)^n is scanned in chunks of
-    _CANDIDATE_CHUNK candidates, with the refinement test (one row of the
-    shared table ``axioms._latest`` per linear order on the directions, so
-    d <= 8) applied first and the cycle test then run against one tope at
-    a time, so no kernel call sees more than _CANDIDATE_CHUNK pairs.
+    axioms._PAIR_BUDGET candidates, with the refinement test (one row of
+    the shared table ``axioms._latest`` per linear order on the directions,
+    so d <= 8) applied first and the cycle test then run against one tope
+    at a time, so no kernel call sees more pairs than that budget.
     """
     n, d = tope_set.n, tope_set.d
     for t in tope_set:
@@ -194,9 +197,9 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
 
     kept = []
     digits = base ** np.arange(n - 1, -1, -1)
-    T = _masks(tope_set)
-    for start in range(0, space, _CANDIDATE_CHUNK):
-        q = np.arange(start, min(start + _CANDIDATE_CHUNK, space))
+    chunk = axioms._PAIR_BUDGET
+    for start in range(0, space, chunk):
+        q = np.arange(start, min(start + chunk, space))
         cand = q[:, None] // digits % base + 1  # itertools.product order
         for latest in tables:
             cand = cand[is_given[latest[cand] @ place]]
@@ -204,7 +207,7 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
                 break
         else:  # some candidates passed every table: test them tope by tope
             cand = cand.astype(np.uint64)
-            for tope in T:
+            for tope in tope_set.rows:
                 cand = cand[~_cycle_pairs(cand, tope, d)]
             kept += [Type(n, d, tuple(c)) for c in cand.tolist()]
     return TomTypeSet(n, d, tuple(kept))
@@ -220,10 +223,8 @@ def delete(m: TomTypeSet, i: int) -> TomTypeSet:
         raise ValueError("deletion needs at least two coordinates")
     if not 1 <= i <= m.n:
         raise ValueError(f"coordinate index {i} out of range 1..{m.n}")
-    kept = [
-        Type(m.n - 1, m.d, t.coords[: i - 1] + t.coords[i:]) for t in m.types
-    ]
-    return TomTypeSet(m.n - 1, m.d, tuple(kept))
+    rows = np.delete(m.rows, i - 1, axis=1).tolist()
+    return TomTypeSet(m.n - 1, m.d, tuple(Type(m.n - 1, m.d, tuple(r)) for r in rows))
 
 
 def contraction_relabeling(d: int, j: int) -> dict[int, int]:
@@ -239,12 +240,8 @@ def contract(m: TomTypeSet, j: int) -> TomTypeSet:
         raise ValueError("contraction needs at least two directions")
     if not 1 <= j <= m.d:
         raise ValueError(f"direction {j} out of range 1..{m.d}")
-    bit = 1 << (j - 1)
+    bit = np.uint64(1 << (j - 1))
     low = bit - 1
-    kept = []
-    for t in m.types:
-        if any(c & bit for c in t.coords):
-            continue
-        coords = tuple((c & low) | ((c >> 1) & ~low) for c in t.coords)
-        kept.append(Type(m.n, m.d - 1, coords))
-    return TomTypeSet(m.n, m.d - 1, tuple(kept))
+    M = m.rows[((m.rows & bit) == 0).all(axis=1)]
+    rows = ((M & low) | ((M >> 1) & ~low)).tolist()
+    return TomTypeSet(m.n, m.d - 1, tuple(Type(m.n, m.d - 1, tuple(r)) for r in rows))

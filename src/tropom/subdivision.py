@@ -444,13 +444,10 @@ def triangulation_types(c: SubgraphCollection) -> TomTypeSet:
     the cell's incident directions; the results are pooled over all cells.
     """
     require_triangulation(c)
-    coords_seen: dict[tuple[int, ...], Type] = {}
+    combos: set[tuple[int, ...]] = set()
     for cell in c.cells:
-        per_row = [_nonempty_submasks(mask) for mask in cell.left_masks()]
-        for combo in itertools.product(*per_row):
-            if combo not in coords_seen:
-                coords_seen[combo] = Type(c.n, c.d, combo)
-    return TomTypeSet(c.n, c.d, tuple(coords_seen.values()))
+        combos.update(itertools.product(*map(_nonempty_submasks, cell.left_masks())))
+    return TomTypeSet(c.n, c.d, tuple(Type(c.n, c.d, combo) for combo in combos))
 
 
 # ---------------------------------------------------------------------------
@@ -570,18 +567,16 @@ def conjecture_probe(n: int, d: int) -> ProbeReport:
     that distinct triangulations give distinct type sets."""
     tris = enumerate_triangulations(n, d)
     failures: list[tuple[int, AxiomReport]] = []
-    seen: dict[frozenset[tuple[int, ...]], int] = {}
+    seen: dict[bytes, int] = {}
     collisions: list[tuple[int, int]] = []
     for idx, tri in enumerate(tris, start=1):
         tom = triangulation_types(tri)
         report = check_axioms(tom)
         if not report.ok:
             failures.append((idx, report))
-        key = frozenset(t.coords for t in tom)
-        if key in seen:
-            collisions.append((seen[key], idx))
-        else:
-            seen[key] = idx
+        first = seen.setdefault(tom.rows.tobytes(), idx)  # rows in canonical order
+        if first != idx:
+            collisions.append((first, idx))
     return ProbeReport(
         n=n,
         d=d,

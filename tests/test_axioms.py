@@ -17,11 +17,13 @@ from tropom import (
     check_comparability,
     check_surrounding,
     comparability_graph,
+    elements_of,
     elimination_witnesses,
     find_directed_cycle,
     has_directed_cycle,
     is_tope,
     ordered_partitions,
+    random_arrangement,
     random_generic_arrangement,
     reconstruct_from_topes,
     refine,
@@ -201,9 +203,7 @@ def _random_coords(rng, n, d):
     return tuple(rng.choice(pick)() for _ in range(n))
 
 
-def test_cycle_kernel_matches_naive_oracle(monkeypatch):
-    # a budget of a few pairs makes every call below run in many chunks
-    monkeypatch.setattr(axioms, "_PAIR_BUDGET", 7)
+def test_cycle_kernel_matches_naive_oracle():
     rng = random.Random(20070)
     for d in range(2, 8):
         for n in (1, 2, 3, 5):
@@ -433,3 +433,109 @@ def test_seven_directions_close_and_pass_surrounding():
     # a failing set with d > 6 still has its witnesses refused
     with pytest.raises(SearchSpaceTooLargeError):
         check_surrounding(TomTypeSet.from_types(t for t in m if not is_tope(t)))
+
+
+def _random_partition(rng, d):
+    """An ordered partition of the d directions into at most six parts."""
+    dirs = list(range(d))
+    rng.shuffle(dirs)
+    cuts = sorted(rng.sample(range(1, d), rng.randint(0, min(d, 6) - 1)))
+    blocks = [dirs[i:j] for i, j in zip([0] + cuts, cuts + [d])]
+    return tuple(sum(1 << j for j in block) for block in blocks)
+
+
+def test_refine_rows_matches_naive_oracle(monkeypatch):
+    monkeypatch.setattr(axioms, "_PAIR_BUDGET", 5)
+    rng = random.Random(2011)
+    for d in (1, 2, 3, 5, 8, 64):
+        for n in (1, 2, 4):
+            coords = [_random_coords(rng, n, d) for _ in range(12)]
+            partitions = [_random_partition(rng, d) for _ in range(9)]
+            expected = [
+                [
+                    oracles.refine_naive(
+                        oracles.as_naive(Type(n, d, c)),
+                        [frozenset(elements_of(part)) for part in parts],
+                    )
+                    for parts in partitions
+                ]
+                for c in coords
+            ]
+            rows = np.array(coords, dtype=np.uint64)
+            for y, parts in enumerate(partitions):
+                got = axioms._refine_rows(rows, parts).tolist()
+                assert [oracles.as_naive(Type(n, d, tuple(r))) for r in got] == [
+                    e[y] for e in expected
+                ]
+            # every row along every partition, type-major, in small blocks
+            w = max(map(len, partitions))
+            padded = np.array([(0,) * (w - len(p)) + p for p in partitions], dtype=np.uint64)
+            blocks = list(axioms._refined_blocks(rows, padded))
+            assert all(len(r) <= 5 for r, _, _ in blocks)
+            r, p, refined = (np.concatenate(b) for b in zip(*blocks))
+            assert r.tolist() == [x for x in range(12) for _ in partitions]
+            assert p.tolist() == list(range(len(partitions))) * 12
+            for x, y, row in zip(r.tolist(), p.tolist(), refined.tolist()):
+                assert oracles.as_naive(Type(n, d, tuple(row))) == expected[x][y]
+
+
+def _tuple_refine(coords, parts):
+    """Each coordinate intersected with the last part it meets, on tuples."""
+    return tuple(next(c & part for part in reversed(parts) if c & part) for c in coords)
+
+
+def _tuple_surrounding(m):
+    """check_surrounding as plain tuple loops, without the report cap: the
+    verdict over the 2^d - 2 two-block refinements, then the failures type
+    by type over every ordered partition."""
+    have = {t.coords for t in m}
+    full = (1 << m.d) - 1
+    if all(
+        _tuple_refine(t.coords, (full ^ later, later)) in have
+        for t in m
+        for later in range(1, full)
+    ):
+        return True, (), 0
+    failures = [
+        (t, p)
+        for t in m
+        for p in ordered_partitions(m.d)
+        if _tuple_refine(t.coords, p.parts) not in have
+    ]
+    return False, tuple(failures), len(failures)
+
+
+def _surrounding_cases(rng):
+    """_axiom_cases, degenerate arrangements with and without some of their
+    types, and a valid and a broken set of seven directions."""
+    cases = _axiom_cases(rng)
+    for n, d in [(2, 3), (3, 3), (2, 4), (3, 4)]:
+        for _ in range(2):
+            m = arrangement_tom(random_arrangement(n, d, rng, bound=1))
+            cases += [m, TomTypeSet(n, d, tuple(t for t in m if rng.random() > 0.1))]
+    seven = _staircase_tom(7)
+    return cases + [seven, TomTypeSet(2, 7, seven.types[1:]), TomTypeSet(2, 7, ())]
+
+
+def test_surrounding_reports_match_tuple_loops(monkeypatch):
+    defaults = (axioms._PAIR_BUDGET, axioms._MAX_REPORTED_FAILURES)
+    broken = 0
+    for m in _surrounding_cases(random.Random(41)):
+        try:
+            ok, failures, total = _tuple_surrounding(m)
+        except SearchSpaceTooLargeError:  # the witnesses of a broken d = 7 set
+            with pytest.raises(SearchSpaceTooLargeError):
+                check_surrounding(m)
+            continue
+        broken += not ok
+        for budget, cap in (defaults, (97, 5)):
+            monkeypatch.setattr(axioms, "_PAIR_BUDGET", budget)
+            monkeypatch.setattr(axioms, "_MAX_REPORTED_FAILURES", cap)
+            assert check_surrounding(m) == (ok, failures[:cap], total), m
+        if total > 5:  # the cap of 5 is still patched in
+            obj = check_axioms(m).to_obj()["surrounding"]
+            assert len(obj["violations"]) == 5
+            assert (obj["total"], obj["truncated"]) == (total, True)
+    assert broken >= 20
+    # an empty set passes, even where the two-block partitions are refused
+    assert check_surrounding(TomTypeSet(1, 17, ())) == (True, (), 0)

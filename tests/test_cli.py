@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from tropom import cli
+from tropom import cli, core
 from tropom.cli import run
 from helpers import T, prism_cells, prism_tom
 
@@ -179,6 +179,18 @@ def test_from_arrangement_refuses_too_many_vertex_candidates(monkeypatch, capsys
     assert code == 2
     assert not out
     assert "over the cap" in err
+
+
+def test_dual_refuses_a_completion_over_the_cap(monkeypatch, capsys):
+    wide = json.dumps({"n": 64, "d": 2, "types": [[[1]] * 64, [[2]] * 64]})
+    code, out, err = invoke(monkeypatch, capsys, ["tom", "dual"], wide)
+    assert (code, out) == (2, "")
+    assert "over the cap" in err
+    # the prism's completion lists 17 * 2^2 = 68 semitypes
+    monkeypatch.setattr(core, "_COMPLETION_CAP", 67)
+    assert invoke(monkeypatch, capsys, ["tom", "dual"], PRISM_JSON)[:2] == (2, "")
+    monkeypatch.setattr(core, "_COMPLETION_CAP", 68)
+    assert invoke(monkeypatch, capsys, ["tom", "dual"], PRISM_JSON)[0] == 0
 
 
 def test_cayley_rejects_non_triangulations(monkeypatch, capsys):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from tropom import (
@@ -121,6 +124,40 @@ def test_typeset_dedupes_and_sorts():
     assert a in m
     assert m.has_coords((0b1, 0b10))
     assert T(2, "2", "2") not in m
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (3, 2), (5, 13), (2, 40), (65, 2), (3, 64), (65, 64)])
+def test_typeset_rows_and_membership_agree_with_python_sets(n, d):
+    rng = random.Random(n * 100 + d)
+    wide = [(1 << d) - 1, 1 << (d - 1), 1]  # the extreme masks, bit 63 at d = 64
+
+    def coords():
+        return tuple(
+            rng.choice([rng.randint(1, (1 << d) - 1), rng.choice(wide)]) for _ in range(n)
+        )
+
+    for size in (0, 1, 7, 60):
+        pool = [coords() for _ in range(size)]
+        pool += pool[: size // 3]  # repeats
+        m = TomTypeSet(n, d, tuple(Type(n, d, c) for c in pool))
+        expected = sorted(set(pool))
+        assert [t.coords for t in m] == expected
+        assert m.rows.shape == (len(expected), n) and m.rows.dtype == np.uint64
+        assert [tuple(r) for r in m.rows.tolist()] == expected
+        assert not m.rows.flags.writeable
+        misses = [coords() for _ in range(40)]
+        misses += [c[:-1] + (c[-1] ^ 1 or 1 << (d - 1),) for c in pool[:10]]  # a bit off
+        have = set(pool)
+        for c in pool + misses:
+            assert m.has_coords(c) == (c in have), c
+            assert (Type(n, d, c) in m) == (c in have)
+        queries = np.array(pool + misses, dtype=np.uint64).reshape(-1, n)
+        assert m.has_rows(queries).tolist() == [c in have for c in pool + misses]
+        grid = np.stack([queries, queries[::-1]])
+        assert m.has_rows(grid).shape == (2, len(queries))
+    assert not m.has_coords((1,) * (n + 1))
+    assert not m.has_coords((-1,) * n)
+    assert not m.has_coords((1 << 64,) * n)
 
 
 def test_typeset_rejects_mixed_shapes():

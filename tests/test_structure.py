@@ -11,6 +11,7 @@ from tropom import (
     SearchSpaceTooLargeError,
     TomTypeSet,
     Type,
+    arrangement_tom,
     check_axioms,
     contract,
     contraction_relabeling,
@@ -21,13 +22,15 @@ from tropom import (
     is_refinement_of,
     is_tope,
     is_vertex,
+    random_arrangement,
+    random_generic_arrangement,
     reconstruct_from_topes,
     refine,
     refinement_closure,
     topes,
     vertices,
 )
-import tropom.structure as structure
+import tropom.axioms as axioms
 import oracles
 from helpers import T, prism_tom, typeset, PRISM_TOPES, PRISM_VERTICES
 
@@ -112,6 +115,41 @@ def test_refinement_closure_matches_naive_oracle(d, n):
         assert refinement_closure(closed) == closed
 
 
+def _tuple_closure(m):
+    """refinement_closure as the worklist over coordinate tuples it replaced."""
+    full = (1 << m.d) - 1
+    seen = {t.coords for t in m}
+    work = list(seen)
+    while work:
+        coords = work.pop()
+        for later in range(1, full):
+            r = tuple(c & later or c for c in coords)
+            if r not in seen:
+                seen.add(r)
+                work.append(r)
+    return seen
+
+
+def test_refinement_closure_matches_the_tuple_worklist(monkeypatch):
+    rng = random.Random(77)
+    cases = []
+    for n, d in [(2, 3), (3, 3), (2, 5)]:
+        m = arrangement_tom(random_generic_arrangement(n, d, seed=n + d))
+        cases += [m, TomTypeSet(n, d, tuple(t for t in m if rng.random() > 0.3))]
+    for n, d in [(3, 3), (2, 4), (4, 2)]:
+        m = arrangement_tom(random_arrangement(n, d, rng, bound=1))
+        cases += [m, TomTypeSet(n, d, tuple(t for t in m if rng.random() > 0.3))]
+    for d in range(1, 8):
+        n = rng.randint(1, 3)
+        seeds = [tuple(rng.randint(1, (1 << d) - 1) for _ in range(n)) for _ in range(3)]
+        cases.append(TomTypeSet.from_types(Type(n, d, c) for c in seeds))
+    for budget in (axioms._PAIR_BUDGET, 7):
+        monkeypatch.setattr(axioms, "_PAIR_BUDGET", budget)
+        for m in cases:
+            closed = refinement_closure(m)
+            assert [t.coords for t in closed] == sorted(_tuple_closure(m)), m
+
+
 def test_reconstruct_from_topes_recovers_the_prism():
     m = prism_tom()
     assert reconstruct_from_topes(TomTypeSet.from_types(topes(m))) == m
@@ -124,7 +162,7 @@ def test_reconstruct_from_topes_is_the_same_in_small_chunks(monkeypatch):
         TomTypeSet.from_types(t for t in topes(m) if t != T(3, "2", "2")),
     ]
     whole = [reconstruct_from_topes(c) for c in cases]
-    monkeypatch.setattr(structure, "_CANDIDATE_CHUNK", 7)
+    monkeypatch.setattr(axioms, "_PAIR_BUDGET", 7)
     assert [reconstruct_from_topes(c) for c in cases] == whole
 
 
