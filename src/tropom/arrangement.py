@@ -6,23 +6,28 @@ are gauge-fixed so the last coordinate is 0 (only coordinate differences
 matter).  The type of a point x records, for each apex, the set of
 directions attaining max_j (x_j - v_ij).
 
-Vertices are typed spanning-tree potentials: ``vertex_points`` solves the
-walls x_j - x_k = v_ij - v_ik along every tree on the d directions."""
+Vertices are the maximal cells of the regular subdivision of
+Delta_{n-1} x Delta_{d-1} with heights v_ij: ``vertex_points`` walks the
+cells of a symbolically perturbed (so triangulated) subdivision by pivots
+and types their limit points."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import SearchSpaceTooLargeError, TomTypeSet, Type, elements_of, read_shaped
-from .structure import is_vertex, refinement_closure
+from .structure import _components, refinement_closure
 
-# Labelled trees for vertex enumeration: (5,5) has 78,125, (2,9) 1.2 * 10^9.
-_VERTEX_CAP = 10**6
+# The vertex walk visits C(n+d-2, n-1) cells and prices n*d edges in each:
+# (6,6) 252 cells and 9072 slacks, (10,10) 4.9 * 10^6 slacks, (40,40)
+# 4.4 * 10^25.
+_WALK_CAP = 10**7
+# The base of the symbolic perturbation folded into the heights.
+_BASE = 8
 
 
 def _as_fraction(value: object) -> Fraction:
@@ -146,57 +151,147 @@ def type_of_point(arr: Arrangement, x: Point | Sequence[object]) -> Type:
 # vertices
 
 
-def _rooted_trees(d: int) -> Iterator[list[tuple[int, int]]]:
-    """The spanning trees of K_d on the 0-based directions, as the edges
-    (j, parent of j) towards the root d - 1, each parent before its children.
+def _cell_potentials(w: list[list[int]], n: int, d: int) -> list[list[int]]:
+    """The node potentials of every maximal cell of the regular triangulation
+    of the product of simplices with heights w, which must never tie.
 
-    A tree is a parent map under which every direction reaches the root.
+    Nodes 0..n-1 are the hyperplanes and n..n+d-1 the directions.  The
+    potentials p satisfy p[n+j] - p[i] <= w[i][j] for all (i, j), with
+    equality (slack 0) exactly on the cell's spanning tree of K_{n,d}; trees
+    are bitmasks over the edges i*d + j, and p matters up to a constant.
+
+    Start from x = 0 with every hyperplane at its maximum, a forest of
+    stars, and lower the component of hyperplane 0 by its least slack to a
+    direction off it until the tight graph spans.  Then pivot: dropping a
+    tree edge (i, j) and lowering the side holding direction j until an
+    edge from its hyperplanes to the other side's directions becomes tight
+    gives the neighbour across that facet; no such edge means a boundary
+    facet.  Such an edge closes a cycle through (i, j) with the tree, so
+    one pass over the non-tree edges, each walking its tree path, finds the
+    entering edge of every facet of the cell.
     """
-    root = d - 1
-    for parent in itertools.product(range(d), repeat=root):
-        order = [root]
-        for k in order:  # breadth first: order grows while it is read
-            order += [j for j in range(root) if parent[j] == k]
-        if len(order) == d:
-            yield [(j, parent[j]) for j in order[1:]]
+    nodes = n + d
+
+    def slack(p: list[int], i: int, j: int) -> int:
+        return w[i][j] - p[n + j] + p[i]
+
+    p = [max(-h for h in row) for row in w] + [0] * d
+    star = [(i, j) for i in range(n) for j in range(d) if slack(p, i, j) == 0]
+    tree = sum(1 << (i * d + j) for i, j in star)
+    comps = _components((1 << i | 1 << (n + j) for i, j in star), nodes)
+    side = next(c for c in comps if c & 1)
+    while side != (1 << nodes) - 1:
+        least, i, j = min(
+            (slack(p, i, j), i, j)
+            for i in range(n) if side >> i & 1
+            for j in range(d) if not side >> (n + j) & 1
+        )
+        p = [v - least if side >> k & 1 else v for k, v in enumerate(p)]
+        tree |= 1 << (i * d + j)
+        side |= next(c for c in comps if c >> (n + j) & 1)
+
+    cells = {tree: p}
+    todo = [tree]
+    while todo:
+        tree = todo.pop()
+        p = cells[tree]
+        adjacent: list[list[int]] = [[] for _ in range(nodes)]
+        for e in elements_of(tree):
+            i, j = divmod(e - 1, d)
+            adjacent[i].append(n + j)
+            adjacent[n + j].append(i)
+        # root the tree at the last direction; node c stands for its edge
+        # to parent[c]
+        parent = [-1] * nodes
+        depth = [0] * nodes
+        order = [nodes - 1]
+        for u in order:
+            for v in adjacent[u]:
+                if v != parent[u]:
+                    parent[v], depth[v] = u, depth[u] + 1
+                    order.append(v)
+        # best[c]: (slack, edge) of the tightest edge entering when the edge
+        # above c drops.  The edge (i, j) enters there when it leaves the
+        # side of that edge's direction at a hyperplane: c is a direction on
+        # i's half of the path, or a hyperplane on j's half.
+        best: dict[int, tuple[int, int]] = {}
+        for i in range(n):
+            for j in range(d):
+                e = i * d + j
+                if tree >> e & 1:
+                    continue
+                key = (slack(p, i, j), e)
+                u, v = i, n + j
+                while u != v:
+                    if depth[u] >= depth[v]:
+                        c, u = u, parent[u]
+                        if c < n:
+                            continue
+                    else:
+                        c, v = v, parent[v]
+                        if c >= n:
+                            continue
+                    if c not in best or key < best[c]:
+                        best[c] = key
+        for c, (least, f) in best.items():
+            i, j = (c, parent[c] - n) if c < n else (parent[c], c - n)
+            nxt = tree ^ 1 << (i * d + j) | 1 << f
+            if nxt in cells:
+                continue
+            # lower the side of direction j: the subtree below c when c is
+            # that direction, else everything but that subtree
+            below = {c}
+            for v in order[order.index(c) + 1:]:
+                if parent[v] in below:
+                    below.add(v)
+            shift = -least if c >= n else least
+            cells[nxt] = [v + shift if k in below else v for k, v in enumerate(p)]
+            todo.append(nxt)
+    return list(cells.values())
 
 
 def vertex_points(arr: Arrangement) -> dict[Type, Point]:
     """The zero-dimensional cells: their types and witness points, in
     canonical type order.
 
-    A set of d-1 walls x_j - x_k = v_ij - v_ik has a unique solution exactly
-    when its pairs {j, k} form a spanning tree of K_d, and the solution is
-    the tree potential: x_d = 0 and x_j = x_k + v_ij - v_ik along each edge.
-    So the candidates are the potentials of the d^(d-2) * n^(d-1) trees with
-    one hyperplane on each edge, and a candidate is a vertex exactly when
-    its type is zero-dimensional.
+    The vertices are the maximal cells of the regular subdivision of
+    Delta_{n-1} x Delta_{d-1} with heights v_ij (Develin-Sturmfels): a point
+    x is a vertex exactly when the edges (i, j) with j attaining
+    max_j (x_j - v_ij) connect K_{n,d}.  Ties are broken by a lexicographic
+    symbolic perturbation (Edelsbrunner-Muecke), folded into one integer per
+    height: w_ij = v_ij * B^N + B^(N-2-(i*d+j)) with B = 8 and N = n*d + 1,
+    in units of the apexes' common denominator, so no two slacks tie and
+    the arithmetic stays exact.  The perturbed subdivision is a
+    triangulation, so it has C(n+d-2, n-1) cells, walked by pivots; each
+    cell's point, rounded to its real part, is a vertex, and every vertex is
+    one of them.  The distinct points are typed against the unperturbed
+    apexes.
     """
     n, d = arr.n, arr.d
-    trees = d ** max(d - 2, 0) * n ** (d - 1)
-    if trees > _VERTEX_CAP:
+    count = math.comb(n + d - 2, n - 1)
+    if count * n * d > _WALK_CAP:
         raise SearchSpaceTooLargeError(
-            f"({n},{d}) has {trees} hyperplane-labelled spanning trees of K_{d},"
-            f" over the cap of {_VERTEX_CAP}"
+            f"({n},{d}) has {count} cells of {n * d} edges each to walk,"
+            f" over the cap of {_WALK_CAP} edges"
         )
-    # in units of the apexes' common denominator every candidate is integral
+    # in units of the apexes' common denominator every vertex is integral
     scale = math.lcm(*(c.denominator for v in arr.apexes for c in v))
     apexes = [[int(c * scale) for c in v] for v in arr.apexes]
-    # steps[j][k]: the differences v_ij - v_ik over the hyperplanes i
-    steps = [[[v[j] - v[k] for v in apexes] for k in range(d)] for j in range(d)]
-    candidates: set[tuple[int, ...]] = set()
-    for tree in _rooted_trees(d):
-        for labels in itertools.product(*(steps[j][k] for j, k in tree)):
-            x = [0] * d
-            for (j, k), step in zip(tree, labels):
-                x[j] = x[k] + step
-            candidates.add(tuple(x))
-    out: dict[Type, Point] = {}
-    for x in candidates:
-        t = Type(n, d, _type_coords(apexes, x))
-        if is_vertex(t):
-            out[t] = Point(tuple(Fraction(c, scale) for c in x))
-    return {t: out[t] for t in sorted(out, key=lambda t: t.coords)}
+    top = _BASE ** (n * d + 1)
+    w = [
+        [h * top + _BASE ** (n * d - 1 - (i * d + j)) for j, h in enumerate(v)]
+        for i, v in enumerate(apexes)
+    ]
+    cells = _cell_potentials(w, n, d)
+    if len(cells) != count:
+        raise RuntimeError(f"the pivot walk found {len(cells)} cells, expected {count}")
+    # the perturbation moves a potential difference by less than top / 2
+    points = {tuple((x - p[-1] + top // 2) // top for x in p[n:]) for p in cells}
+    out = {Type(n, d, _type_coords(apexes, x)): x for x in points}
+    return {
+        t: Point(tuple(Fraction(c, scale) for c in out[t]))
+        for t in sorted(out, key=lambda t: t.coords)
+    }
 
 
 def enumerate_vertex_types(arr: Arrangement) -> frozenset[Type]:

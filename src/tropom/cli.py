@@ -56,8 +56,9 @@ def _emit(obj: object) -> None:
     --n 4 --d 3` prints 44,880 cells, of which only 432 are distinct.  This
     writer walks dicts with str keys and lists itself, encodes each distinct
     list of ints, and each list of such lists, once per indent, and hands
-    everything else to `json.dumps`.  Its output must stay byte-identical
-    to `json.dumps(obj, indent=2)`."""
+    everything else to `json.dumps`; a list object that recurs, like a
+    census cell, is found by its identity before its contents are read.
+    Its output must stay byte-identical to `json.dumps(obj, indent=2)`."""
     print(_indented(obj, "\n", {}))
 
 
@@ -69,6 +70,12 @@ def _indented(obj: object, newline: str, memo: dict) -> str:
     if type(obj) is int:
         return str(obj)
     if type(obj) is list and obj:
+        # a list of ints, or of such lists, met again as the same object
+        # (they all live until the print) is not read twice
+        same = (newline, id(obj))
+        text = memo.get(same)
+        if text is not None:
+            return text
         inner = newline + "  "
         kinds = set(map(type, obj))
         if kinds == {int}:
@@ -85,7 +92,7 @@ def _indented(obj: object, newline: str, memo: dict) -> str:
                 items = (_indented(v, inner, memo) for v in obj)
             text = "[" + inner + ("," + inner).join(items) + newline + "]"
             if key is not None:
-                memo[key] = text
+                memo[key] = memo[same] = text
         return text
     if type(obj) is dict and obj and all(type(k) is str for k in obj):
         inner = newline + "  "
@@ -152,7 +159,9 @@ def _enumerate(args: argparse.Namespace) -> int:
     tris = subdivision.enumerate_triangulations(args.n, args.d)
     obj: dict = {"n": args.n, "d": args.d, "count": len(tris)}
     if not args.count:
-        obj["triangulations"] = [t.to_obj()["cells"] for t in tris]
+        # the census shares its cells: convert each distinct one once
+        cells = {c: c.to_obj() for c in {c for t in tris for c in t.cells}}
+        obj["triangulations"] = [[cells[c] for c in t.cells] for t in tris]
     _emit(obj)
     return 0
 

@@ -95,6 +95,11 @@ def _vertex_cases():
                 [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
                  for _ in range(n)]
             )
+    # one direction, one hyperplane, and every apex the same
+    yield Arrangement.from_coords([[Fraction(3, 2)], [0], [-7]])
+    yield Arrangement.from_coords([[Fraction(-1, 3), 5, 0, 2]])
+    for n, d in ((2, 3), (3, 4), (4, 2)):
+        yield Arrangement.from_coords([[Fraction(j * j, 2) for j in range(d)]] * n)
 
 
 def test_vertex_points_match_naive_oracle():
@@ -106,15 +111,35 @@ def test_vertex_points_match_naive_oracle():
 
 
 def test_vertex_enumeration_is_guarded(monkeypatch):
-    with pytest.raises(SearchSpaceTooLargeError):
-        vertex_points(Arrangement.from_coords([[0] * 9, [1] + [0] * 8]))
-    # (2,3) has 3 spanning trees of K_3 with 2^2 labellings each
+    # (2,9) walks 9 cells; the labelled-tree search it replaced refused it
+    wide = Arrangement.from_coords([[0] * 9, [1] + [0] * 8])
+    vp = vertex_points(wide)
+    assert len(vp) == 2
+    for t, p in vp.items():
+        assert type_of_point(wide, p) == t
+    # (2,3) walks 3 cells of 6 edges
     arr = prism_arrangement()
-    monkeypatch.setattr(arrangement, "_VERTEX_CAP", 12)
+    monkeypatch.setattr(arrangement, "_WALK_CAP", 18)
     assert len(vertex_points(arr)) == 3
-    monkeypatch.setattr(arrangement, "_VERTEX_CAP", 11)
+    monkeypatch.setattr(arrangement, "_WALK_CAP", 17)
     with pytest.raises(SearchSpaceTooLargeError):
         vertex_points(arr)
+    # (40,40) is refused before the walk starts
+    monkeypatch.undo()
+
+    def walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(arrangement, "_cell_potentials", walk)
+    with pytest.raises(SearchSpaceTooLargeError):
+        vertex_points(Arrangement.from_coords([[0] * 40] * 40))
+
+
+def test_vertex_walk_checks_its_cell_count(monkeypatch):
+    walk = arrangement._cell_potentials
+    monkeypatch.setattr(arrangement, "_cell_potentials", lambda *a: walk(*a)[1:])
+    with pytest.raises(RuntimeError, match="found 2 cells, expected 3"):
+        vertex_points(prism_arrangement())
 
 
 def test_arrangement_tom_is_the_prism():
@@ -124,18 +149,17 @@ def test_arrangement_tom_is_the_prism():
     assert enumerate_vertex_types(arr) == vertices(m)
 
 
+def _edges(t):
+    """The edges (i, j) of a type's graph, 1-based like the oracles' trees."""
+    return frozenset((i, j) for i, s in enumerate(t.coord_sets(), start=1) for j in s)
+
+
 def test_vertex_types_match_envelope_oracle():
-    for seed in (11, 12, 13):
-        for n, d in ((2, 3), (3, 3), (2, 4)):
-            arr = random_generic_arrangement(n, d, seed=seed)
-            got = {
-                frozenset(
-                    (i, j) for i, s in enumerate(t.coord_sets(), start=1) for j in s
-                )
-                for t in enumerate_vertex_types(arr)
-            }
-            want = {tree for tree, _ in oracles.envelope_cells(arr.apexes)}
-            assert got == want
+    shapes = [(n, d, seed) for seed in (11, 12, 13) for n, d in ((2, 3), (3, 3), (2, 4))]
+    for n, d, seed in shapes + [(3, 5, 7), (4, 4, 7)]:
+        arr = random_generic_arrangement(n, d, seed=seed)
+        got = {_edges(t): p for t, p in vertex_points(arr).items()}
+        assert got == {tree: Point(z) for tree, z in oracles.envelope_cells(arr.apexes)}
 
 
 def test_envelope_points_match_vertex_points():
@@ -217,6 +241,10 @@ def test_degenerate_arrangements_satisfy_the_axioms(n, d):
     rng = random.Random(100 * n + d)
     for _ in range(8):
         arr = random_arrangement(n, d, rng, bound=1)
+        # an envelope tree is the whole graph of a vertex's type, at its point
+        at = {_edges(t): p for t, p in vertex_points(arr).items()}
+        for tree, z in oracles.envelope_cells(arr.apexes):
+            assert at.get(tree) == Point(z)
         m = arrangement_tom(arr)
         assert check_axioms(m).ok
         assert refinement_closure(vertices(m)) == m

@@ -8,7 +8,14 @@ import json
 
 import pytest
 
-from tropom import cli, core
+from tropom import (
+    cli,
+    core,
+    random_generic_arrangement,
+    type_of_point,
+    vertex_points,
+    vertices,
+)
 from tropom.cli import run
 from helpers import T, prism_cells, prism_tom
 
@@ -174,11 +181,25 @@ def test_cayley_render_and_verify(monkeypatch, capsys, tmp_path):
 
 
 def test_from_arrangement_refuses_too_many_vertex_candidates(monkeypatch, capsys):
-    arr = json.dumps({"n": 2, "d": 9, "apexes": [[0] * 9, [1] + [0] * 8]})
+    arr = json.dumps({"n": 40, "d": 40, "apexes": [[0] * 40] * 40})
     code, out, err = invoke(monkeypatch, capsys, ["tom", "from-arrangement"], arr)
     assert code == 2
     assert not out
     assert "over the cap" in err
+
+
+def test_from_arrangement_takes_six_directions(monkeypatch, capsys):
+    arr = random_generic_arrangement(5, 6, seed=7)
+    code, out, _ = invoke(
+        monkeypatch, capsys, ["tom", "from-arrangement"], json.dumps(arr.to_obj())
+    )
+    assert code == 0
+    found = vertices(core.TomTypeSet.from_obj(json.loads(out)))
+    assert len(found) == 126
+    vp = vertex_points(arr)
+    assert set(vp) == found
+    for t, p in vp.items():
+        assert type_of_point(arr, p) == t
 
 
 def test_dual_refuses_a_completion_over_the_cap(monkeypatch, capsys):

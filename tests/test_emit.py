@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from tropom import cli
+from tropom import cli, subdivision
 from tropom.cli import run
 from helpers import T, prism_cells, prism_tom
 
@@ -142,3 +142,22 @@ def test_topes_reconstruction_output_matches_json(monkeypatch, capsys):
     out, seen = _run_recorded(monkeypatch, capsys, ["tom", "reconstruct-topes"], topes)
     assert len(seen) == 1
     assert out == json.dumps(seen[0], indent=2) + "\n"
+
+
+def test_census_converts_each_cell_once(monkeypatch, capsys):
+    tris = subdivision.enumerate_triangulations(3, 3)
+    want = [t.to_obj()["cells"] for t in tris]
+    calls = []
+    to_obj = subdivision.BipartiteSubgraph.to_obj
+
+    def counted(cell):
+        calls.append(cell)
+        return to_obj(cell)
+
+    monkeypatch.setattr(subdivision.BipartiteSubgraph, "to_obj", counted)
+    out, seen = _run_recorded(
+        monkeypatch, capsys, ["subdiv", "enumerate", "--n", "3", "--d", "3"]
+    )
+    assert seen[0]["triangulations"] == want
+    assert out == json.dumps(seen[0], indent=2) + "\n"
+    assert len(calls) == len(set(calls)) == len({c for t in tris for c in t.cells})
