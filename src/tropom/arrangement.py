@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import SearchSpaceTooLargeError, TomTypeSet, Type, elements_of, read_shaped
 from .structure import _components, refinement_closure
@@ -316,24 +316,31 @@ def _anchored(arr: Arrangement, p: Point, j: int, direction: int) -> tuple[Fract
     return tuple(c - shift for c in p.coords)
 
 
-def eliminate_points(
+def _combinations(
     arr: Arrangement, x: Point | Sequence[object], y: Point | Sequence[object], j: int
-) -> tuple[Point, Type]:
-    """Combine two points at position j by anchoring and maxima.
-
-    Both points are translated so the j-th maximum is attained at value 0
-    (anchored at the smallest direction of their j-th coordinate); the
-    coordinatewise maximum of the translates is returned with its type.
-    """
+) -> Iterator[Point]:
+    """The coordinatewise maxima of the two points translated so that their
+    j-th maximum is attained at value 0, one per pair of anchoring
+    directions of their j-th coordinates, smallest directions first."""
     if not 1 <= j <= arr.n:
         raise ValueError(f"position {j} out of range 1..{arr.n}")
     px = x if isinstance(x, Point) else Point(tuple(x))
     py = y if isinstance(y, Point) else Point(tuple(y))
-    a = elements_of(type_of_point(arr, px).coords[j - 1])[0]
-    b = elements_of(type_of_point(arr, py).coords[j - 1])[0]
-    sx = _anchored(arr, px, j, a)
-    sy = _anchored(arr, py, j, b)
-    z = Point(tuple(max(u, v) for u, v in zip(sx, sy)))
+    ta, tb = type_of_point(arr, px), type_of_point(arr, py)
+    for a in elements_of(ta.coords[j - 1]):
+        sx = _anchored(arr, px, j, a)
+        for b in elements_of(tb.coords[j - 1]):
+            sy = _anchored(arr, py, j, b)
+            yield Point(tuple(max(u, v) for u, v in zip(sx, sy)))
+
+
+def eliminate_points(
+    arr: Arrangement, x: Point | Sequence[object], y: Point | Sequence[object], j: int
+) -> tuple[Point, Type]:
+    """Combine two points at position j by anchoring and maxima: the
+    combination anchored at the smallest direction of each j-th coordinate,
+    with its type."""
+    z = next(_combinations(arr, x, y, j))
     return z, type_of_point(arr, z)
 
 
@@ -342,21 +349,8 @@ def eliminate_points_all(
 ) -> tuple[tuple[Point, Type], ...]:
     """Every anchored combination of the two points at position j, one per
     pair of anchoring directions, deduplicated and canonically ordered."""
-    if not 1 <= j <= arr.n:
-        raise ValueError(f"position {j} out of range 1..{arr.n}")
-    px = x if isinstance(x, Point) else Point(tuple(x))
-    py = y if isinstance(y, Point) else Point(tuple(y))
-    ta = type_of_point(arr, px)
-    tb = type_of_point(arr, py)
-    found: dict[tuple[Fraction, ...], tuple[Point, Type]] = {}
-    for a in elements_of(ta.coords[j - 1]):
-        sx = _anchored(arr, px, j, a)
-        for b in elements_of(tb.coords[j - 1]):
-            sy = _anchored(arr, py, j, b)
-            z = Point(tuple(max(u, v) for u, v in zip(sx, sy)))
-            if z.coords not in found:
-                found[z.coords] = (z, type_of_point(arr, z))
-    return tuple(found[k] for k in sorted(found))
+    found = {z.coords: z for z in _combinations(arr, x, y, j)}
+    return tuple((found[k], type_of_point(arr, found[k])) for k in sorted(found))
 
 
 # ---------------------------------------------------------------------------

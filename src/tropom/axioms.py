@@ -278,6 +278,15 @@ def _cycle_pairs(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
 # axiom sweeps
 
 
+def _section(ok: bool, total: int, violations: list) -> dict:
+    """One part of a report: its verdict and the violations it lists, with
+    their total and truncated: true when it lists fewer than total."""
+    obj = {"ok": ok, "violations": violations}
+    if total > len(violations):
+        obj.update(total=total, truncated=True)
+    return obj
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     """Outcome of check_axioms, with witnesses for every failure."""
@@ -307,7 +316,7 @@ class AxiomReport:
         )
 
     def to_obj(self) -> dict:
-        obj = {
+        return {
             "ok": self.ok,
             "n": self.n,
             "d": self.d,
@@ -316,33 +325,19 @@ class AxiomReport:
                 "ok": self.boundary_ok,
                 "missing_directions": list(self.boundary_missing),
             },
-            "elimination": {
-                "ok": self.elimination_ok,
-                "violations": [
-                    {"a": a.to_obj(), "b": b.to_obj(), "position": j}
-                    for a, b, j in self.elimination_failures
-                ],
-            },
-            "comparability": {
-                "ok": self.comparability_ok,
-                "violations": [
-                    {"a": a.to_obj(), "b": b.to_obj(), "cycle": list(cyc)}
-                    for a, b, cyc in self.comparability_failures
-                ],
-            },
-            "surrounding": {
-                "ok": self.surrounding_ok,
-                "violations": [
-                    {"type": t.to_obj(), "partition": p.to_obj()}
-                    for t, p in self.surrounding_failures
-                ],
-            },
+            "elimination": _section(self.elimination_ok, self.elimination_total, [
+                {"a": a.to_obj(), "b": b.to_obj(), "position": j}
+                for a, b, j in self.elimination_failures
+            ]),
+            "comparability": _section(self.comparability_ok, self.comparability_total, [
+                {"a": a.to_obj(), "b": b.to_obj(), "cycle": list(cyc)}
+                for a, b, cyc in self.comparability_failures
+            ]),
+            "surrounding": _section(self.surrounding_ok, self.surrounding_total, [
+                {"type": t.to_obj(), "partition": p.to_obj()}
+                for t, p in self.surrounding_failures
+            ]),
         }
-        for axiom in ("elimination", "comparability", "surrounding"):
-            total = getattr(self, f"{axiom}_total")
-            if total > len(obj[axiom]["violations"]):
-                obj[axiom].update(total=total, truncated=True)
-        return obj
 
 
 def elimination_witnesses(

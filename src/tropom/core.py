@@ -11,7 +11,10 @@ the raw material of duality, which is the composition
 
     dual = reduction . transpose . completion
 
-implemented at the bottom of this module.
+``dual`` computes it on mask rows: emptying the coordinates outside a set S
+of positions and then transposing is transposing and then keeping S in
+every column, so its rows are the (K, d) transpose of the set's rows masked
+with each nonempty S, less the rows with an empty column.
 """
 
 from __future__ import annotations
@@ -207,9 +210,6 @@ class SemiType:
         return all(self.coords)
 
     def to_type(self) -> "Type":
-        for i, mask in enumerate(self.coords, start=1):
-            if mask == 0:
-                raise EmptyCoordinateError(i)
         return Type(self.n, self.d, self.coords)
 
     def __str__(self) -> str:
@@ -368,11 +368,23 @@ class TomTypeSet:
                 )
         rows = np.array([t.coords for t in pool], dtype=np.uint64).reshape(-1, self.n)
         keys, first = np.unique(_row_keys(rows), return_index=True)
-        rows = rows[first]
+        self._hold(tuple(pool[i] for i in first.tolist()), rows[first], keys)
+
+    def _hold(self, types: tuple[Type, ...], rows: np.ndarray, keys: np.ndarray) -> None:
         rows.flags.writeable = False
-        object.__setattr__(self, "types", tuple(pool[i] for i in first.tolist()))
+        object.__setattr__(self, "types", types)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_keys", keys)
+
+    @classmethod
+    def _from_rows(cls, n: int, d: int, rows: np.ndarray) -> "TomTypeSet":
+        """The set of the types whose masks are the rows of a (K, n) uint64
+        array, sorted and deduplicated before any Type is built."""
+        out = cls(n, d, ())
+        keys = np.unique(_row_keys(rows.reshape(-1, n)))
+        rows = _key_rows(keys, n)
+        out._hold(tuple(Type(n, d, tuple(r)) for r in rows.tolist()), rows, keys)
+        return out
 
     @classmethod
     def from_types(cls, types: Iterable[Type]) -> "TomTypeSet":
@@ -415,12 +427,10 @@ class TomTypeSet:
 
     def has_rows(self, rows: np.ndarray) -> np.ndarray:
         """One bool per row of a (..., n) uint64 array: is it a member."""
-        keys = _row_keys(rows)
-        pos = np.searchsorted(self._keys, keys)
-        inside = pos < len(self._keys)
-        found = np.zeros(keys.shape, dtype=bool)
-        found[inside] = self._keys[pos[inside]] == keys[inside]
-        return found
+        if not len(self._keys):
+            return np.zeros(rows.shape[:-1], dtype=bool)
+        pos = np.searchsorted(self._keys, _row_keys(rows))
+        return (self.rows[np.minimum(pos, len(self._keys) - 1)] == rows).all(axis=-1)
 
     def __iter__(self) -> Iterator[Type]:
         return iter(self.types)
@@ -437,30 +447,35 @@ class TomTypeSet:
 # duality: completion, transpose, reduction
 
 
+def _transpose_rows(rows: np.ndarray, d: int) -> np.ndarray:
+    """The (K, d) transpose of (K, n) uint64 mask rows over d directions:
+    column j of a row holds the positions i whose coordinate holds j + 1."""
+    at = np.left_shift(np.uint64(1), np.arange(rows.shape[1], dtype=np.uint64))
+    held = rows[:, None, :] >> np.arange(d, dtype=np.uint64)[:, None] & np.uint64(1)
+    return np.bitwise_or.reduce(held * at, axis=2)
+
+
 def transpose(s: SemiType) -> SemiType:
     """Flip incidences: direction j holds position i iff i's coordinate held j."""
-    if isinstance(s, Type):
-        s = s.to_semitype()
-    cols = [0] * s.d
-    for i, mask in enumerate(s.coords):
-        bit = 1 << i
-        for j in elements_of(mask):
-            cols[j - 1] |= bit
-    return SemiType(s.d, s.n, tuple(cols))
+    rows = _transpose_rows(np.array([s.coords], dtype=np.uint64), s.d)
+    return SemiType(s.d, s.n, tuple(rows[0].tolist()))
 
 
-def completion(m: TomTypeSet) -> frozenset[SemiType]:
-    """All semitypes obtained from members of m by emptying some coordinates."""
+def _check_completion(m: TomTypeSet) -> None:
     if len(m) << m.n > _COMPLETION_CAP:
         raise SearchSpaceTooLargeError(
             f"completion lists {len(m) << m.n} semitypes, over the cap {_COMPLETION_CAP}"
         )
-    out: set[SemiType] = set()
-    for t in m:
-        for keep in itertools.product((False, True), repeat=t.n):
-            coords = tuple(c if k else 0 for c, k in zip(t.coords, keep))
-            out.add(SemiType(t.n, t.d, coords))
-    return frozenset(out)
+
+
+def completion(m: TomTypeSet) -> frozenset[SemiType]:
+    """All semitypes obtained from members of m by emptying some coordinates."""
+    _check_completion(m)
+    return frozenset(
+        SemiType(m.n, m.d, tuple(c if k else 0 for c, k in zip(t.coords, keep)))
+        for t in m
+        for keep in itertools.product((False, True), repeat=m.n)
+    )
 
 
 def reduction(
@@ -477,5 +492,10 @@ def reduction(
 
 
 def dual(m: TomTypeSet) -> TomTypeSet:
-    """The dual (d, n) type set: reduce the transposes of the completion."""
-    return reduction((transpose(s) for s in completion(m)), n=m.d, d=m.n)
+    """The dual (d, n) type set: reduce the transposes of the completion,
+    computed on rows: the set's transpose masked with every nonempty set of
+    positions, keeping the rows with no empty column."""
+    _check_completion(m)  # so n <= 18 unless the set is empty
+    subsets = np.arange(1, 1 << m.n if len(m) else 1, dtype=np.uint64)
+    rows = (_transpose_rows(m.rows, m.d) & subsets[:, None, None]).reshape(-1, m.d)
+    return TomTypeSet._from_rows(m.d, m.n, rows[(rows != 0).all(axis=1)])

@@ -158,59 +158,64 @@ def refinement_closure(seeds: TomTypeSet | Iterable[Type]) -> TomTypeSet:
             found = np.union1d(found, _row_keys(refined))
         frontier = np.setdiff1d(found, known, assume_unique=True)
         known = np.union1d(known, frontier)
-    rows = _key_rows(known, n).tolist()
-    return TomTypeSet(n, d, tuple(Type(n, d, tuple(c)) for c in rows))
+    return TomTypeSet._from_rows(n, d, _key_rows(known, n))
 
 
 # ---------------------------------------------------------------------------
 # reconstruction from topes
 
 
+def _sieve(rows: np.ndarray, tests: np.ndarray, passes) -> np.ndarray:
+    """The rows that pass every test; passes(rows, group) gives one bool per
+    row, on groups of tests that keep rows.size x tests in axioms._PAIR_BUDGET."""
+    done = 0
+    while len(rows) and done < len(tests):
+        group = tests[done : done + max(1, axioms._PAIR_BUDGET // rows.size)]
+        rows = rows[passes(rows, group)]
+        done += len(group)
+    return rows
+
+
 def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
     """All types compatible with the given topes.
 
     A candidate survives when every one of its total refinements is a given
-    tope and its comparability graph against every tope is acyclic.  The
-    full candidate space (2^d - 1)^n is scanned in chunks of
-    axioms._PAIR_BUDGET candidates, with the refinement test (one row of
-    the shared table ``axioms._latest`` per linear order on the directions,
-    so d <= 8) applied first and the cycle test then run against one tope
-    at a time, so no kernel call sees more pairs than that budget.
+    tope and its comparability graph against every tope is acyclic.  A total
+    refinement acts on each coordinate alone and a cycle of a prefix is a
+    cycle of the whole, so both must hold for the first k coordinates
+    against the topes of the deletion minor on them.  Candidates therefore
+    grow one coordinate at a time: each level extends the kept prefixes by
+    the 2^d - 1 nonempty masks, is refused above _RECONSTRUCT_CAP
+    candidates, and is sieved in blocks of axioms._PAIR_BUDGET candidates,
+    first by the refinement along every row of the shared table
+    ``axioms._latest`` (one per linear order, so d <= 8), then by the cycle
+    test against the minor's topes.
     """
     n, d = tope_set.n, tope_set.d
     for t in tope_set:
         if not is_tope(t):
             raise ValueError(f"not a tope: {t}")
-    base = (1 << d) - 1
-    space = base**n
-    if space > _RECONSTRUCT_CAP:
-        raise SearchSpaceTooLargeError(
-            f"candidate space {space} exceeds {_RECONSTRUCT_CAP}"
-        )
     tables = _latest(d)
-
-    # a tope is coded by the 0-based directions of its coordinates in base d
-    is_given = np.zeros(d**n, dtype=bool)
-    for t in tope_set:
-        is_given[sum((c.bit_length() - 1) * d**i for i, c in enumerate(t.coords))] = True
-    place = d ** np.arange(n)
-
-    kept = []
-    digits = base ** np.arange(n - 1, -1, -1)
-    chunk = axioms._PAIR_BUDGET
-    for start in range(0, space, chunk):
-        q = np.arange(start, min(start + chunk, space))
-        cand = q[:, None] // digits % base + 1  # itertools.product order
-        for latest in tables:
-            cand = cand[is_given[latest[cand] @ place]]
-            if not len(cand):
-                break
-        else:  # some candidates passed every table: test them tope by tope
-            cand = cand.astype(np.uint64)
-            for tope in tope_set.rows:
-                cand = cand[~_cycle_pairs(cand, tope, d)]
-            kept += [Type(n, d, tuple(c)) for c in cand.tolist()]
-    return TomTypeSet(n, d, tuple(kept))
+    minors = [tope_set]
+    while minors[0].n > 1:
+        minors.insert(0, delete(minors[0], minors[0].n))
+    masks = np.arange(1, 1 << d, dtype=np.uint64)
+    kept = np.zeros((1, 0), dtype=np.uint64)
+    for minor in minors:
+        wide = len(kept) * len(masks)
+        if wide > _RECONSTRUCT_CAP:
+            raise SearchSpaceTooLargeError(f"{wide} candidates exceed {_RECONSTRUCT_CAP}")
+        blocks = [np.zeros((0, minor.n), dtype=np.uint64)]
+        for start in range(0, wide, axioms._PAIR_BUDGET):
+            q = np.arange(start, min(start + axioms._PAIR_BUDGET, wide))
+            cand = np.column_stack([kept[q // len(masks)], masks[q % len(masks)]])
+            cand = _sieve(cand, tables, lambda c, orders: minor.has_rows(
+                np.uint64(1) << orders[:, c]).all(axis=0))
+            cand = _sieve(cand, minor.rows, lambda c, topes: ~_cycle_pairs(
+                c[:, None], topes[None], d).any(axis=1))
+            blocks.append(cand)
+        kept = np.concatenate(blocks)
+    return TomTypeSet._from_rows(n, d, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +228,7 @@ def delete(m: TomTypeSet, i: int) -> TomTypeSet:
         raise ValueError("deletion needs at least two coordinates")
     if not 1 <= i <= m.n:
         raise ValueError(f"coordinate index {i} out of range 1..{m.n}")
-    rows = np.delete(m.rows, i - 1, axis=1).tolist()
-    return TomTypeSet(m.n - 1, m.d, tuple(Type(m.n - 1, m.d, tuple(r)) for r in rows))
+    return TomTypeSet._from_rows(m.n - 1, m.d, np.delete(m.rows, i - 1, axis=1))
 
 
 def contraction_relabeling(d: int, j: int) -> dict[int, int]:
@@ -243,5 +247,4 @@ def contract(m: TomTypeSet, j: int) -> TomTypeSet:
     bit = np.uint64(1 << (j - 1))
     low = bit - 1
     M = m.rows[((m.rows & bit) == 0).all(axis=1)]
-    rows = ((M & low) | ((M >> 1) & ~low)).tolist()
-    return TomTypeSet(m.n, m.d - 1, tuple(Type(m.n, m.d - 1, tuple(r)) for r in rows))
+    return TomTypeSet._from_rows(m.n, m.d - 1, (M & low) | ((M >> 1) & ~low))

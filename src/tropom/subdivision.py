@@ -34,6 +34,7 @@ from .axioms import (
     _MAX_REPORTED_FAILURES,
     AxiomReport,
     _cycle_pairs,
+    _section,
     _upper_pairs,
     check_axioms,
 )
@@ -261,7 +262,7 @@ class SubdivisionReport:
         return self.spanning_ok and self.facet_ok and self.alternating_ok
 
     def to_obj(self) -> dict:
-        obj = {
+        return {
             "ok": self.ok,
             "n": self.n,
             "d": self.d,
@@ -274,29 +275,16 @@ class SubdivisionReport:
                     for idx, reason in self.spanning_violations
                 ],
             },
-            "facets": {
-                "ok": self.facet_ok,
-                "violations": [
-                    {"cell": idx, "facet": [list(e) for e in fac]}
-                    for idx, fac in self.facet_violations
-                ],
-            },
-            "alternating": {
-                "ok": self.alternating_ok,
-                "violations": [
-                    {"cells": [a, b], "cycle": [list(e) for e in cyc]}
-                    for a, b, cyc in self.alternating_violations
-                ],
-            },
+            "facets": _section(self.facet_ok, self.facet_total, [
+                {"cell": idx, "facet": [list(e) for e in fac]}
+                for idx, fac in self.facet_violations
+            ]),
+            "alternating": _section(self.alternating_ok, self.alternating_total, [
+                {"cells": [a, b], "cycle": [list(e) for e in cyc]}
+                for a, b, cyc in self.alternating_violations
+            ]),
             "note": self.note,
         }
-        for key, total in (
-            ("facets", self.facet_total),
-            ("alternating", self.alternating_total),
-        ):
-            if total > len(obj[key]["violations"]):
-                obj[key].update(total=total, truncated=True)
-        return obj
 
 
 def _facet_candidates_general(cell: BipartiteSubgraph) -> list[frozenset[Edge]]:
@@ -447,7 +435,7 @@ def triangulation_types(c: SubgraphCollection) -> TomTypeSet:
     combos: set[tuple[int, ...]] = set()
     for cell in c.cells:
         combos.update(itertools.product(*map(_nonempty_submasks, cell.left_masks())))
-    return TomTypeSet(c.n, c.d, tuple(Type(c.n, c.d, combo) for combo in combos))
+    return TomTypeSet._from_rows(c.n, c.d, np.array(list(combos), dtype=np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,16 @@ def test_from_arrangement_refuses_too_many_vertex_candidates(monkeypatch, capsys
     assert "over the cap" in err
 
 
+@pytest.mark.parametrize("n,d", [(6, 4), (5, 5)])
+def test_reconstruct_topes_prints_the_arrangement_type_set(monkeypatch, capsys, n, d):
+    arr = json.dumps(random_generic_arrangement(n, d, seed=7).to_obj())
+    code, full, _ = invoke(monkeypatch, capsys, ["tom", "from-arrangement"], arr)
+    assert code == 0
+    _, tope_json, _ = invoke(monkeypatch, capsys, ["tom", "topes"], full)
+    code, out, err = invoke(monkeypatch, capsys, ["tom", "reconstruct-topes"], tope_json)
+    assert (code, out, err) == (0, full, "")
+
+
 def test_from_arrangement_takes_six_directions(monkeypatch, capsys):
     arr = random_generic_arrangement(5, 6, seed=7)
     code, out, _ = invoke(

@@ -16,12 +16,14 @@ from tropom import (
     SubgraphCollection,
     TomTypeSet,
     Type,
+    arrangement_tom,
     completion,
     constant_type,
     dual,
     elements_of,
     mask_from_elements,
     make_type,
+    random_arrangement,
     reduction,
     transpose,
 )
@@ -210,6 +212,23 @@ def test_reduction_of_empty_pool_needs_shape():
 def test_dual_of_rank_one_set():
     m = typeset(3, [("1",), ("2",), ("3",), ("12",), ("13",), ("23",), ("123",)])
     assert dual(m) == typeset(1, [("1", "1", "1")])
+
+
+def test_dual_is_the_reduced_transpose_of_the_completion():
+    rng = random.Random(5)
+    cases = [TomTypeSet(n, d, ()) for n, d in [(1, 1), (3, 2), (5, 5)]]
+    for _ in range(60):
+        n, d = rng.randint(1, 5), rng.randint(1, 5)
+        cases.append(TomTypeSet(n, d, tuple(
+            Type(n, d, tuple(rng.randint(1, (1 << d) - 1) for _ in range(n)))
+            for _ in range(rng.randint(0, 12))
+        )))
+    for n in range(1, 5):
+        for d in range(1, 5):
+            cases.append(arrangement_tom(random_arrangement(n, d, rng, bound=1)))
+    for m in cases:
+        expected = reduction((transpose(s) for s in completion(m)), n=m.d, d=m.n)
+        assert dual(m) == expected, m
 
 
 def test_dual_is_an_involution_on_the_prism():

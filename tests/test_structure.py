@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from tropom import (
     vertices,
 )
 import tropom.axioms as axioms
+import tropom.structure as structure
 import oracles
 from helpers import T, prism_tom, typeset, PRISM_TOPES, PRISM_VERTICES
 
@@ -171,12 +173,66 @@ def test_reconstruct_rejects_non_topes():
         reconstruct_from_topes(typeset(3, [("12", "1")]))
 
 
-def test_reconstruct_caps_the_search_space():
+def test_reconstruct_caps_the_search_space(monkeypatch):
     big = TomTypeSet.from_types(
         [T(6, *(str(j),) * 10) for j in range(1, 7)]
     )
-    with pytest.raises(SearchSpaceTooLargeError):
+    # 63^10 candidates in all, but each level keeps only the 63 constant prefixes
+    assert reconstruct_from_topes(big) == TomTypeSet.from_types(
+        Type(10, 6, (mask,) * 10) for mask in range(1, 64)
+    )
+    # the second level extends them to 63 * 63 candidates
+    monkeypatch.setattr(structure, "_RECONSTRUCT_CAP", 63 * 63 - 1)
+    with pytest.raises(SearchSpaceTooLargeError, match="3969 candidates exceed 3968"):
         reconstruct_from_topes(big)
+    monkeypatch.setattr(structure, "_RECONSTRUCT_CAP", 63 * 63)
+    assert len(reconstruct_from_topes(big)) == 63
+
+
+def _naive_reconstruction(tope_set):
+    """Every candidate in (2^d - 1)^n whose total refinements are all given
+    topes and whose comparability graph with each tope has no bad cycle."""
+    n, d = tope_set.n, tope_set.d
+    given = {oracles.as_naive(t) for t in tope_set}
+    subsets = [
+        frozenset(s)
+        for r in range(1, d + 1)
+        for s in itertools.combinations(range(1, d + 1), r)
+    ]
+    found = []
+    for cand in itertools.product(subsets, repeat=n):
+        refinements = {
+            tuple(frozenset({max(c, key=order.index)}) for c in cand)
+            for order in itertools.permutations(range(1, d + 1))
+        }
+        if refinements <= given and not any(
+            oracles.has_bad_cycle(cand, t) for t in given
+        ):
+            found.append(Type.from_sets(n, d, [sorted(c) for c in cand]))
+    return TomTypeSet(n, d, tuple(found))
+
+
+def test_reconstruct_from_topes_matches_a_naive_full_scan(monkeypatch):
+    rng = random.Random(11)
+    cases = []
+    for _ in range(12):
+        n, d = rng.randint(1, 3), rng.randint(2, 4)
+        if d == 4:
+            n = min(n, 2)
+        m = arrangement_tom(random_arrangement(n, d, rng, bound=rng.choice([1, 1000])))
+        tope_list = sorted(topes(m), key=lambda t: t.coords)
+        # every tope, one tope missing, and a random set of singleton types
+        cases.append(TomTypeSet(n, d, tuple(tope_list)))
+        cases.append(TomTypeSet(n, d, tuple(tope_list[1:])))
+        noise = [
+            Type(n, d, tuple(1 << rng.randrange(d) for _ in range(n)))
+            for _ in range(rng.randint(0, 2 * d))
+        ]
+        cases.append(TomTypeSet(n, d, tuple(noise)))
+    expected = [_naive_reconstruction(m) for m in cases]
+    assert [reconstruct_from_topes(m) for m in cases] == expected
+    monkeypatch.setattr(axioms, "_PAIR_BUDGET", 5)
+    assert [reconstruct_from_topes(m) for m in cases] == expected
 
 
 def test_closure_caps_the_two_block_partitions():
