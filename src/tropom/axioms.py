@@ -14,23 +14,23 @@ A type set is a tropical oriented matroid when it satisfies:
 whatever failed.  All sweeps work on the set's mask rows ``m.rows``; ``Type``
 objects are only looked up for the witnesses.
 
-Elimination and comparability are symmetric in A and B, so both visit only
-the pairs a < b, in row chunks of at most ``_PAIR_BUDGET`` pairs
-(``_upper_pairs``).  Elimination indexes the set by (position, mask value)
-as packed uint64 bitsets over the types: the candidates C for a pair are the
-AND over positions of three bitsets, and a witness at position j exists
-exactly when that AND meets the bitset of A_j ∪ B_j.  Positions where A_j
-and B_j are comparable need no check, because A or B is a witness there.
+Elimination and comparability are symmetric in A and B, so both report
+only the pairs a < b, walking the rows in blocks of at most
+``_PAIR_BUDGET`` cells (``_row_blocks``).  Elimination indexes the set by
+(position, mask value) as packed uint64 bitsets over the types: the
+candidates C for a pair are the AND over positions of three bitsets, and a
+witness at position j exists exactly when that AND meets the bitset of
+A_j ∪ B_j.  Positions where A_j and B_j are comparable need no check,
+because A or B is a witness there.
 
-Comparability has one verdict and one witness.  The verdict is the private
-kernel ``_cycle_pairs``: for many pairs at once it packs, per direction, the
-heads of all arcs and of the one-way arcs into bitmasks, closes the arcs by
-Warshall over the d bit rows, and flags a pair when some one-way arc is
-closed by a path back.  ``check_comparability``,
-``structure.reconstruct_from_topes`` and, on the left rows of cells, the
-alternating-cycle condition of ``subdivision`` call it.  The witness is
-``find_directed_cycle`` on the explicit ``comparability_graph``, run only
-for the pairs the kernel flagged.
+Comparability has one verdict and one witness.  The verdict is the kernel
+``_bad_cycles``: a block of rows against a set sliced once into bit planes
+(``_planes``), 64 members a word.  Per ordered pair of directions it ORs
+the members with an arc and with a one-way arc, closes the arcs by
+Warshall, and flags the members where a one-way arc is closed by a path
+back.  Comparability, the subdivision check, the census and tope
+reconstruction all call it.  The witness, ``find_directed_cycle`` on the
+explicit ``comparability_graph``, runs only for the pairs reported.
 
 Refining along (P1|…|Pk) is refining in turn along the two-block partitions
 whose later block is Pk, then P(k-1), down to P2; ``_refine_rows`` does just
@@ -69,6 +69,14 @@ _MAX_PERMUTATION_DIRECTIONS = 8
 _MAX_TWO_BLOCK_DIRECTIONS = 16
 _PAIR_BUDGET = 1 << 14
 _MAX_REPORTED_FAILURES = 10**5
+
+
+def _row_blocks(k: int, width: int) -> Iterator[tuple[int, int]]:
+    """Consecutive row ranges [start, stop) covering rows 0..k-1, each of at
+    most _PAIR_BUDGET cells at width cells a row, or of one row."""
+    step = max(1, _PAIR_BUDGET // max(1, width))
+    for start in range(0, k, step):
+        yield start, min(start + step, k)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +125,8 @@ def _refined_blocks(
     most _PAIR_BUDGET (row, partition) pairs: yields the row indices, the
     partition indices and the refined rows of each block.  parts is a (P, w)
     array, shorter partitions padded with leading zeros (empty parts)."""
-    total = len(rows) * len(parts)
-    for start in range(0, total, _PAIR_BUDGET):
-        r, p = np.divmod(np.arange(start, min(start + _PAIR_BUDGET, total)), len(parts))
+    for start, stop in _row_blocks(len(rows) * len(parts), 1):
+        r, p = np.divmod(np.arange(start, stop), len(parts))
         yield r, p, _refine_rows(rows[r], parts[p].T[:, :, None])
 
 
@@ -238,40 +245,55 @@ def has_directed_cycle(g: Semidigraph) -> bool:
     return find_directed_cycle(g) is not None
 
 
-def _cycle_pairs(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
-    """The comparability verdict for many pairs at once.
+def _planes(rows: np.ndarray, d: int) -> np.ndarray:
+    """The bit planes of a set of K mask rows, shape (n, d, ceil(K/64)): bit
+    t of planes[i, k] says direction k+1 is in coordinate i of row t."""
+    k, n = rows.shape
+    bits = np.zeros((n, d, -(-k // 64) * 64), dtype=bool)
+    bits[..., :k] = rows.T[:, None] >> np.arange(d, dtype=np.uint64)[:, None] & np.uint64(1)
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
-    a and b hold uint64 coordinate masks, shape (..., n) with the same number
-    of axes, and broadcast against each other to the pairs (A, B).  Returns one bool per pair: True
-    when the comparability graph of (A, B) has a closed walk through a
-    one-way arc, i.e. has_directed_cycle(comparability_graph(A, B)).
 
-    All pairs are taken in one pass, so callers bound the pairs of a call;
-    ``_upper_pairs`` is the chunker.
-    """
+def _bad_cycles(rows: np.ndarray, planes: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """has_directed_cycle(comparability_graph(row, member)) for every row
+    against every member of a set sliced by ``_planes``, in blocks of rows
+    x d^2 x words within _PAIR_BUDGET: yields each block's first row and
+    its verdicts, packed like the planes.  Only AND, OR and NOT touch the
+    words, so they keep the planes' byte order."""
+    n, d, words = planes.shape
     bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
-    pairs = np.broadcast_shapes(a.shape, b.shape)[:-1]
-    # out[..., j]: every head of an arc leaving direction j+1;
-    # one[..., j]: the heads of the one-way arcs among them
-    out = np.empty(pairs + (d,), dtype=np.uint64)
-    one = np.empty_like(out)
-    for j, bit in enumerate(bits):
-        tail = (a & bit) != 0
-        b_at_tail = b * tail
-        out[..., j] = np.bitwise_or.reduce(b_at_tail, axis=-1) & ~bit
-        one[..., j] = np.bitwise_or.reduce(
-            b_at_tail & ~(a * ((b & bit) != 0)), axis=-1
-        )
-    # Warshall: reach[..., v] ends as everything reachable from v+1
-    reach = out
-    for k, bit in enumerate(bits):
-        reach |= reach[..., k : k + 1] * ((reach & bit) != 0)
-    # bad when some one-way arc j -> k is closed by a path from k back to j
-    bad = np.zeros(pairs, dtype=bool)
-    for k, bit in enumerate(bits):
-        back = (reach[..., k : k + 1] & bits) != 0
-        bad |= (((one & bit) != 0) & back).any(axis=-1)
-    return bad
+    for start, stop in _row_blocks(len(rows), d * d * words):
+        # tests[r, i, j]: all ones when direction j+1 is in coordinate i of row r
+        tests = np.where(rows[start:stop, :, None] & bits != 0, ~np.uint64(0), np.uint64(0))
+        # reach[r, j, k]: the members with an arc j+1 -> k+1; one[r, j, k]:
+        # those where it is one-way, not an edge of both at the same position
+        reach = np.zeros((stop - start, d, d, words), dtype=np.uint64)
+        one = np.zeros_like(reach)
+        for i in range(n):
+            arcs = tests[:, i, :, None, None] & planes[i]
+            reach |= arcs
+            one |= arcs & ~arcs.swapaxes(1, 2)
+        # Warshall: reach[r, j, k] ends as the members with a path j+1 -> k+1
+        reach[:, range(d), range(d)] = 0
+        for v in range(d):
+            reach |= reach[:, :, v : v + 1] & reach[:, v : v + 1]
+        # bad when some one-way arc j -> k is closed by a path from k back to j
+        yield start, np.bitwise_or.reduce(one & reach.swapaxes(1, 2), axis=(1, 2))
+
+
+def _cycle_failures(rows: np.ndarray, d: int, cap: int) -> tuple[list[tuple[int, int]], int]:
+    """The pairs a < b of rows that ``_bad_cycles`` flags: the first cap in
+    row-major order, and the number of all.  The graph of (b, a) is the
+    graph of (a, b) reversed, and the graph of (a, a) has no one-way arc."""
+    kept: list[tuple[int, int]] = []
+    total = 0
+    for start, bad in _bad_cycles(rows, _planes(rows, d)):
+        flagged = np.unpackbits(bad.view(np.uint8), axis=1, count=len(rows), bitorder="little")
+        a, b = np.nonzero(np.triu(flagged, start + 1))
+        total += len(a)
+        room = cap - len(kept)
+        kept += zip((a[:room] + start).tolist(), b[:room].tolist())
+    return kept, total
 
 
 # ---------------------------------------------------------------------------
@@ -364,24 +386,6 @@ def check_boundary(m: TomTypeSet) -> tuple[bool, tuple[int, ...]]:
     return not missing, missing
 
 
-def _upper_pairs(k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Index arrays (a, b) of the pairs a < b < k in row-major order.
-
-    Pairs come in chunks of whole rows, at most _PAIR_BUDGET pairs at a time
-    unless one row alone holds more.
-    """
-    ends = np.cumsum(np.arange(k - 1, 0, -1))  # ends[r]: pairs in rows 0..r
-    a0 = done = 0
-    while a0 < k - 1:
-        a1 = max(a0 + 1, int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")))
-        rows = np.arange(a0, a1)
-        lens = k - 1 - rows
-        a = np.repeat(rows, lens)
-        b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(lens) - lens, lens)
-        yield a, b
-        a0, done = a1, int(ends[a1 - 1])
-
-
 def check_elimination(
     m: TomTypeSet,
 ) -> tuple[bool, tuple[tuple[Type, Type, int], ...], int]:
@@ -418,7 +422,9 @@ def check_elimination(
 
     total = 0
     kept = np.empty(0, dtype=np.int64)  # keys (a * k + b) * n + position - 1
-    for a, b in _upper_pairs(k):
+    for start, stop in _row_blocks(k, k):
+        a, b = np.nonzero(np.triu(np.ones((stop - start, k), dtype=bool), start + 1))
+        a += start
         A, B = M[a], M[b]
         # where A_j and B_j are comparable, A or B is a witness at j
         incomparable = ((A & ~B) != 0) & ((B & ~A) != 0)
@@ -459,20 +465,12 @@ def check_comparability(
     """The comparability verdict, its failures (A, B, walk) for the pairs
     a < b in set order, the first _MAX_REPORTED_FAILURES only, and their
     number."""
-    M = m.rows
-    # the graph of (b, a) is the graph of (a, b) reversed, and the graph of
-    # (a, a) has no one-way arc: check a < b only
-    failures = []
-    total = 0
-    for a, b in _upper_pairs(len(m.types)):
-        bad = _cycle_pairs(M[a], M[b], m.d)
-        total += int(bad.sum())
-        keep = _MAX_REPORTED_FAILURES - len(failures)
-        for x, y in zip(a[bad][:keep].tolist(), b[bad][:keep].tolist()):
-            ta, tb = m.types[x], m.types[y]
-            cycle = find_directed_cycle(comparability_graph(ta, tb))
-            failures.append((ta, tb, tuple(cycle or ())))
-    return total == 0, tuple(failures), total
+    pairs, total = _cycle_failures(m.rows, m.d, _MAX_REPORTED_FAILURES)
+    failures = tuple(
+        (a, b, tuple(find_directed_cycle(comparability_graph(a, b)) or ()))
+        for a, b in ((m.types[x], m.types[y]) for x, y in pairs)
+    )
+    return total == 0, failures, total
 
 
 def check_surrounding(

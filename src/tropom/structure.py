@@ -22,7 +22,7 @@ from .core import (
     _row_keys,
 )
 from . import axioms
-from .axioms import _cycle_pairs, _latest, _refined_blocks, _two_block_parts
+from .axioms import _bad_cycles, _latest, _planes, _refined_blocks, _two_block_parts
 
 _RECONSTRUCT_CAP = 10**7
 
@@ -165,17 +165,6 @@ def refinement_closure(seeds: TomTypeSet | Iterable[Type]) -> TomTypeSet:
 # reconstruction from topes
 
 
-def _sieve(rows: np.ndarray, tests: np.ndarray, passes) -> np.ndarray:
-    """The rows that pass every test; passes(rows, group) gives one bool per
-    row, on groups of tests that keep rows.size x tests in axioms._PAIR_BUDGET."""
-    done = 0
-    while len(rows) and done < len(tests):
-        group = tests[done : done + max(1, axioms._PAIR_BUDGET // rows.size)]
-        rows = rows[passes(rows, group)]
-        done += len(group)
-    return rows
-
-
 def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
     """All types compatible with the given topes.
 
@@ -188,8 +177,9 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
     the 2^d - 1 nonempty masks, is refused above _RECONSTRUCT_CAP
     candidates, and is sieved in blocks of axioms._PAIR_BUDGET candidates,
     first by the refinement along every row of the shared table
-    ``axioms._latest`` (one per linear order, so d <= 8), then by the cycle
-    test against the minor's topes.
+    ``axioms._latest`` (one per linear order, so d <= 8), then by
+    ``axioms._bad_cycles`` against the minor's topes, sliced once a level:
+    a candidate with any bit set is dropped.
     """
     n, d = tope_set.n, tope_set.d
     for t in tope_set:
@@ -205,15 +195,21 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
         wide = len(kept) * len(masks)
         if wide > _RECONSTRUCT_CAP:
             raise SearchSpaceTooLargeError(f"{wide} candidates exceed {_RECONSTRUCT_CAP}")
+        planes = _planes(minor.rows, d)
         blocks = [np.zeros((0, minor.n), dtype=np.uint64)]
-        for start in range(0, wide, axioms._PAIR_BUDGET):
-            q = np.arange(start, min(start + axioms._PAIR_BUDGET, wide))
+        for start, stop in axioms._row_blocks(wide, 1):
+            q = np.arange(start, stop)
             cand = np.column_stack([kept[q // len(masks)], masks[q % len(masks)]])
-            cand = _sieve(cand, tables, lambda c, orders: minor.has_rows(
-                np.uint64(1) << orders[:, c]).all(axis=0))
-            cand = _sieve(cand, minor.rows, lambda c, topes: ~_cycle_pairs(
-                c[:, None], topes[None], d).any(axis=1))
-            blocks.append(cand)
+            done = 0
+            while len(cand) and done < len(tables):
+                # groups of orders keep cand.size x orders within the budget
+                orders = tables[done : done + max(1, axioms._PAIR_BUDGET // cand.size)]
+                cand = cand[minor.has_rows(np.uint64(1) << orders[:, cand]).all(axis=0)]
+                done += len(orders)
+            blocks += [
+                cand[first : first + len(bad)][~bad.any(axis=1)]
+                for first, bad in _bad_cycles(cand, planes)
+            ]
         kept = np.concatenate(blocks)
     return TomTypeSet._from_rows(n, d, kept)
 

@@ -21,7 +21,8 @@ rights) — the cuts that actually support a face of the product polytope.
 
 Both (1) and (3) read the cells' left rows as types: a cell spans when its
 rows are nonempty and form a zero-dimensional type, and two cells have an
-alternating cycle when ``axioms._cycle_pairs`` flags their rows."""
+alternating cycle when ``axioms._bad_cycles`` flags their rows, the cells'
+rows sliced once.  The census asks it for every tree against every tree."""
 
 from __future__ import annotations
 
@@ -33,9 +34,10 @@ import numpy as np
 from .axioms import (
     _MAX_REPORTED_FAILURES,
     AxiomReport,
-    _cycle_pairs,
+    _bad_cycles,
+    _cycle_failures,
+    _planes,
     _section,
-    _upper_pairs,
     check_axioms,
 )
 from .core import (
@@ -45,6 +47,7 @@ from .core import (
     TomTypeSet,
     Type,
     _nonempty_submasks,
+    _validate_dims,
     elements_of,
     read_shaped,
 )
@@ -198,8 +201,8 @@ def _alternating_cycle(
 
     Arcs go left-to-right along ta and right-to-left along tb; a violation
     is a simple directed cycle of length >= 4 using an edge outside ta & tb.
-    One exists exactly when ``axioms._cycle_pairs`` flags the cells' left
-    rows; callers search only those pairs, to name the cycle.
+    One exists exactly when ``axioms._bad_cycles`` flags the cells' left
+    rows; callers search only the pairs they report, to name the cycle.
     """
     shared = ta & tb
     arcs: list[list[tuple[int, Edge]]] = [[] for _ in range(n + d)]
@@ -364,26 +367,19 @@ def check_subdivision(
     facet_total = 0
     for idx, cell in enumerate(cells, start=1):
         for rest in _interior_facets(cell, triangulation):
-            if any(
-                rest <= other.edges
-                for k, other in enumerate(cells, start=1)
-                if k != idx
-            ):
-                continue
-            facet_total += 1
-            if len(facet_viol) < _MAX_REPORTED_FAILURES:
-                facet_viol.append((idx, tuple(sorted(rest))))
+            if not any(rest <= other.edges for other in cells if other is not cell):
+                facet_total += 1
+                if len(facet_viol) < _MAX_REPORTED_FAILURES:
+                    facet_viol.append((idx, tuple(sorted(rest))))
 
-    alt_viol: list[tuple[int, int, tuple[Edge, ...]]] = []
-    alt_total = 0
+    # the left rows are uint64 masks, which a d beyond 64 overflows
+    _validate_dims(n, d)
     rows = np.array([cell.left_masks() for cell in cells], dtype=np.uint64)
-    for a, b in _upper_pairs(len(cells)):
-        bad = _cycle_pairs(rows[a], rows[b], d)
-        alt_total += int(bad.sum())
-        keep = _MAX_REPORTED_FAILURES - len(alt_viol)
-        for x, y in zip(a[bad][:keep].tolist(), b[bad][:keep].tolist()):
-            cyc = _alternating_cycle(cells[x].edges, cells[y].edges, n, d)
-            alt_viol.append((x + 1, y + 1, cyc))
+    pairs, alt_total = _cycle_failures(rows, d, _MAX_REPORTED_FAILURES)
+    alt_viol = [
+        (x + 1, y + 1, _alternating_cycle(cells[x].edges, cells[y].edges, n, d))
+        for x, y in pairs
+    ]
 
     return SubdivisionReport(
         n=n,
@@ -470,16 +466,13 @@ def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
     trees = _all_spanning_trees(n, d)
     k = len(trees)
 
-    # bitmasks over the trees: compatible[a] holds the trees with no
-    # alternating cycle against tree a, owners[s] the trees with facet s;
-    # the cycle test is symmetric, so each pair a < b is asked once
+    # bitmasks over the trees: clash[a] holds the trees with an alternating
+    # cycle against tree a, owners[s] the trees with facet s
     rows = np.array([t.left_masks() for t in trees], dtype=np.uint64)
-    ok = np.eye(k, dtype=bool)
-    for a, b in _upper_pairs(k):
-        ok[a, b] = ok[b, a] = ~_cycle_pairs(rows[a], rows[b], d)
-    compatible = [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in ok
+    clash = [
+        int.from_bytes(row.tobytes(), "little")
+        for _, bad in _bad_cycles(rows, _planes(rows, d))
+        for row in bad
     ]
     owners: dict[frozenset[Edge], int] = {}
     internal_facets: list[list[frozenset[Edge]]] = []
@@ -500,7 +493,7 @@ def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
                     continue
                 # unmatched facet: branch over its other owners after the seed
                 for cand in elements_of(others & -(2 << seed)):
-                    if compatible[cand - 1] & chosen == chosen:
+                    if not clash[cand - 1] & chosen:
                         extend(seed, chosen | 1 << (cand - 1))
                 return
         results.add(chosen)

@@ -1,11 +1,15 @@
-"""Frozen reference data and tiny constructors shared by the test modules.
+"""Frozen reference data and tiny constructors shared by the test modules,
+and a reader for the comparability kernel's packed verdicts.
 
-Everything here is literal: the reference prism objects were worked out by
-hand and must never be regenerated from library output.
+The reference data is literal: the prism objects were worked out by hand
+and must never be regenerated from library output.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from tropom import axioms
 from tropom import Arrangement, BipartiteSubgraph, SubgraphCollection, TomTypeSet, Type
 
 
@@ -16,6 +20,22 @@ def T(d: int, *coords: str) -> Type:
 
 def typeset(d: int, pairs) -> TomTypeSet:
     return TomTypeSet.from_types([T(d, *p) for p in pairs])
+
+
+def cycle_grid(rows: np.ndarray, members: np.ndarray, d: int) -> np.ndarray:
+    """The kernel's verdict for every row against every member as a bool
+    (rows, members) grid, checking that its blocks cover the rows in order
+    and leave the padding bits past the last member clear."""
+    grid = np.zeros((len(rows), len(members)), dtype=bool)
+    done = 0
+    for start, bad in axioms._bad_cycles(rows, axioms._planes(members, d)):
+        assert start == done and bad.shape[1] == -(-len(members) // 64)
+        bits = np.unpackbits(bad.view(np.uint8), axis=1, bitorder="little").astype(bool)
+        assert not bits[:, len(members) :].any()
+        grid[start : start + len(bad)] = bits[:, : len(members)]
+        done += len(bad)
+    assert done == len(rows)
+    return grid
 
 
 # Reference example: two non-degenerate apexes in three directions (a prism).

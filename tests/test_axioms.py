@@ -33,7 +33,7 @@ from tropom import (
 )
 import tropom.axioms as axioms
 import oracles
-from helpers import T, prism_tom, typeset
+from helpers import T, cycle_grid, prism_tom, typeset
 
 
 def P(d, *parts):
@@ -203,28 +203,39 @@ def _random_coords(rng, n, d):
     return tuple(rng.choice(pick)() for _ in range(n))
 
 
-def test_cycle_kernel_matches_naive_oracle():
+def test_cycle_kernel_matches_naive_oracle(monkeypatch):
     rng = random.Random(20070)
-    for d in range(2, 8):
-        for n in (1, 2, 3, 5):
-            pairs = []
-            for _ in range(60):
-                a = _random_coords(rng, n, d)
-                pairs.append((a, a if rng.random() < 0.2 else _random_coords(rng, n, d)))
-            full = ((1 << d) - 1,) * n
-            pairs += [(full, full), (full, pairs[0][1]), (pairs[0][0], full)]
-            A = np.array([a for a, _ in pairs], dtype=np.uint64)
-            B = np.array([b for _, b in pairs], dtype=np.uint64)
-            got = axioms._cycle_pairs(A, B, d)
-            for (a, b), verdict in zip(pairs, got):
-                naive = oracles.has_bad_cycle(
+    # members spanning one word short of full, full, one bit over, several
+    # words, and none; d = 64 fills a whole mask
+    shapes = [(d, n, k) for d in range(1, 8) for n, k in ((1, 63), (2, 64), (3, 65), (5, 150))]
+    shapes += [(d, 2, 0) for d in (1, 4, 64)] + [(64, 2, 65)]
+    flagged = pairs = 0
+    for d, n, k in shapes:
+        full = ((1 << d) - 1,) * n
+        rows = [_random_coords(rng, n, d) for _ in range(4 if d == 64 else 9)] + [full]
+        # k members, among them the full type and two of the rows themselves
+        members = [_random_coords(rng, n, d) for _ in range(k - 3)] + [full] + rows[:2] if k else []
+        A = np.array(rows, dtype=np.uint64)
+        B = np.array(members, dtype=np.uint64).reshape(len(members), n)
+        naive = [
+            [
+                oracles.has_bad_cycle(
                     oracles.as_naive(Type(n, d, a)), oracles.as_naive(Type(n, d, b))
                 )
-                assert bool(verdict) == naive, (d, a, b)
-            # every row against every row agrees with the same pairs listed flat
-            grid = axioms._cycle_pairs(A[:12, None, :], B[None, :12, :], d)
-            flat = axioms._cycle_pairs(np.repeat(A[:12], 12, axis=0), np.tile(B[:12], (12, 1)), d)
-            assert (grid == flat.reshape(12, 12)).all()
+                for b in members
+            ]
+            for a in rows
+        ]
+        # a budget of 7 cells makes every call run in one-row blocks
+        for budget in (axioms._PAIR_BUDGET, 7):
+            monkeypatch.setattr(axioms, "_PAIR_BUDGET", budget)
+            blocks = [len(bad) for _, bad in axioms._bad_cycles(A, axioms._planes(B, d))]
+            words = -(-len(members) // 64)
+            assert max(blocks) <= max(1, budget // max(1, d * d * words))
+            assert cycle_grid(A, B, d).tolist() == naive, (d, n, k)
+        flagged += sum(map(sum, naive))
+        pairs += len(rows) * len(members)
+    assert 0.2 < flagged / pairs < 0.8
 
 
 def test_comparability_witnesses_are_closed_walks():
@@ -298,18 +309,21 @@ def _axiom_cases(rng):
 
 @pytest.mark.parametrize("k,budget", [(0, 7), (1, 7), (2, 7), (12, 7), (12, 30), (40, 1 << 14)])
 def test_upper_pairs_cover_each_pair_once_in_whole_rows(monkeypatch, k, budget):
+    # elimination takes the pairs a < b of each block of k-cell rows
     monkeypatch.setattr(axioms, "_PAIR_BUDGET", budget)
-    chunks = list(axioms._upper_pairs(k))
-    a = np.concatenate([a for a, _ in chunks]) if chunks else np.empty(0)
-    b = np.concatenate([b for _, b in chunks]) if chunks else np.empty(0)
+    blocks = list(axioms._row_blocks(k, k))
+    a, b = [], []
+    for start, stop in blocks:
+        x, y = np.nonzero(np.triu(np.ones((stop - start, k), dtype=bool), start + 1))
+        a += (x + start).tolist()
+        b += y.tolist()
+        assert (stop - start) * k <= budget or stop - start == 1
+        if stop < k:  # a block stops only where the next row overflows
+            assert (stop - start + 1) * k > budget
     rows, cols = np.triu_indices(k, 1)
-    assert (a == rows).all() and (b == cols).all() and len(a) == len(rows)
-    for ca, _ in chunks:
-        whole_rows = {int(r) for r in ca}
-        assert len(ca) == sum(k - 1 - r for r in whole_rows)
-        assert len(ca) <= budget or len(whole_rows) == 1
-        if ca[-1] < k - 2:  # a chunk stops only where the next row overflows
-            assert len(ca) + k - 2 - ca[-1] > budget
+    assert a == rows.tolist() and b == cols.tolist()
+    stops = [0] + [stop for _, stop in blocks]
+    assert [start for start, _ in blocks] == stops[:-1] and stops[-1] == k
 
 
 def _naive_elimination_failures(m):

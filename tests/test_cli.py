@@ -343,3 +343,13 @@ def test_reconstruct_topes_refuses_nine_directions(monkeypatch, capsys):
     code, out, err = invoke(monkeypatch, capsys, ["tom", "reconstruct-topes"], topes)
     assert (code, out) == (2, "")
     assert err.startswith("error: 9! singleton orders exceed")
+
+
+@pytest.mark.parametrize("argv", [["subdiv", "check", "--triangulation"], ["subdiv", "to-tom"]])
+def test_triangulation_check_refuses_sixty_five_directions(monkeypatch, capsys, argv):
+    # left vertex 2 is uncovered, so no cell is ever read as a type, and the
+    # mask 1 << 64 of direction 65 would overflow the uint64 left rows
+    cells = json.dumps({"n": 2, "d": 65, "cells": [[[1, 65]], [[1, 1]]]})
+    code, out, err = invoke(monkeypatch, capsys, argv, cells)
+    assert (code, out) == (2, "")
+    assert err == "error: direction count d=65 outside [1, 64]\n"

@@ -23,9 +23,8 @@ from tropom import (
     type_to_subgraph,
 )
 from tropom import subdivision
-from tropom.axioms import _cycle_pairs
 import oracles
-from helpers import T, cells_of, prism_cells, prism_tom, typeset
+from helpers import T, cells_of, cycle_grid, prism_cells, prism_tom, typeset
 
 
 def test_subgraph_type_roundtrip():
@@ -163,19 +162,19 @@ def test_census_entries_are_valid_and_distinct():
 
 
 def test_census_asks_each_tree_pair_once(monkeypatch):
-    # the alternating-cycle test is symmetric, so the 81 spanning trees of
-    # K_{3,3} send their 81 * 80 / 2 unordered pairs to the kernel, not 81^2
-    sent = []
-    kernel = subdivision._cycle_pairs
+    # the 81 spanning trees of K_{3,3} are sliced once and sent to the kernel
+    # once, as 81 rows against all 81 trees
+    sliced, sent = [], []
+    planes, kernel = subdivision._planes, subdivision._bad_cycles
 
-    def counted(a, b, d):
-        verdict = kernel(a, b, d)
-        sent.append(verdict.size)
-        return verdict
+    def counted(rows, p):
+        sent.append(len(rows))
+        return kernel(rows, p)
 
-    monkeypatch.setattr(subdivision, "_cycle_pairs", counted)
+    monkeypatch.setattr(subdivision, "_planes", lambda rows, d: sliced.append(len(rows)) or planes(rows, d))
+    monkeypatch.setattr(subdivision, "_bad_cycles", counted)
     assert len(enumerate_triangulations(3, 3)) == 108
-    assert sum(sent) == 3240
+    assert sliced == [81] and sent == [81]
 
 
 @pytest.mark.parametrize("n,d", [(3, 3), (2, 4), (2, 5)])
@@ -220,7 +219,7 @@ def test_cycle_kernel_decides_alternating_cycles():
     for n, d in ((3, 3), (2, 4)):
         trees = oracles.spanning_trees_naive(n, d)
         rows = _left_rows(trees, n, d)
-        flagged = _cycle_pairs(rows[:, None], rows[None], d)
+        flagged = cycle_grid(rows, rows, d)
         for a, ta in enumerate(trees):
             for b, tb in enumerate(trees):
                 cyc = subdivision._alternating_cycle(ta, tb, n, d)
@@ -230,7 +229,7 @@ def test_cycle_kernel_decides_alternating_cycles():
     for _ in range(3000):
         n, d = rng.randint(1, 4), rng.randint(1, 5)
         ta, tb = _random_edges(rng, n, d), _random_edges(rng, n, d)
-        flagged = _cycle_pairs(_left_rows([ta], n, d), _left_rows([tb], n, d), d)
+        flagged = cycle_grid(_left_rows([ta], n, d), _left_rows([tb], n, d), d)[0]
         assert flagged[0] == (subdivision._alternating_cycle(ta, tb, n, d) is not None)
 
 
