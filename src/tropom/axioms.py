@@ -16,21 +16,32 @@ objects are only looked up for the witnesses.
 
 Elimination and comparability are symmetric in A and B, so both report
 only the pairs a < b, walking the rows in blocks of at most
-``_PAIR_BUDGET`` cells (``_row_blocks``).  Elimination indexes the set by
-(position, mask value) as packed uint64 bitsets over the types: the
-candidates C for a pair are the AND over positions of three bitsets, and a
-witness at position j exists exactly when that AND meets the bitset of
+``_PAIR_BUDGET`` cells (``_row_blocks``).
+
+Elimination indexes the set by (position i, mask value) as packed uint64
+bitsets over the types, bits_i.  The candidates C for a pair, every C_i
+one of A_i, B_i, A_i ∪ B_i, are the AND over positions of T_i[A_i, B_i] =
+bits_i[A_i] | bits_i[B_i] | bits_i[A_i ∪ B_i], a term fixed by the value
+pair alone.  Position i takes at most 2^d - 1 values, so each row block
+builds T_i (``_value_pair_table``) for the distinct A_i of its rows
+against every value, a table no larger than the block's candidates, and a
+pair costs one row gather a position; the rank of A_i ∪ B_i and whether
+A_i and B_i are comparable come from tables of the same shape.  A witness
+at position j exists exactly when the candidates meet the bitset of
 A_j ∪ B_j.  Positions where A_j and B_j are comparable need no check,
 because A or B is a witness there.
 
 Comparability has one verdict and one witness.  The verdict is the kernel
-``_bad_cycles``: a block of rows against a set sliced once into bit planes
-(``_planes``), 64 members a word.  Per ordered pair of directions it ORs
-the members with an arc and with a one-way arc, closes the arcs by
+``_cycle_block``: a block of rows against a set sliced once into bit
+planes (``_planes``), 64 members a word.  Per ordered pair of directions
+it ORs the members with an arc and with a one-way arc, closes the arcs by
 Warshall, and flags the members where a one-way arc is closed by a path
-back.  Comparability, the subdivision check, the census and tope
-reconstruction all call it.  The witness, ``find_directed_cycle`` on the
-explicit ``comparability_graph``, runs only for the pairs reported.
+back.  The census and tope reconstruction run it over all the planes in
+row blocks (``_bad_cycles``); comparability and the subdivision check keep
+the pairs a < b (``_cycle_failures``), so each block runs only against the
+members from the word of its first row on.  The witness,
+``find_directed_cycle`` on the explicit ``comparability_graph``, runs only
+for the pairs reported.
 
 Refining along (P1|…|Pk) is refining in turn along the two-block partitions
 whose later block is Pk, then P(k-1), down to P2; ``_refine_rows`` does just
@@ -258,41 +269,55 @@ def _bad_cycles(rows: np.ndarray, planes: np.ndarray) -> Iterator[tuple[int, np.
     """has_directed_cycle(comparability_graph(row, member)) for every row
     against every member of a set sliced by ``_planes``, in blocks of rows
     x d^2 x words within _PAIR_BUDGET: yields each block's first row and
-    its verdicts, packed like the planes.  Only AND, OR and NOT touch the
-    words, so they keep the planes' byte order."""
+    its verdicts from ``_cycle_block``."""
+    _, d, words = planes.shape
+    for start, stop in _row_blocks(len(rows), d * d * words):
+        yield start, _cycle_block(rows[start:stop], planes)
+
+
+def _cycle_block(rows: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """The verdicts of one block of rows against the members of the planes,
+    packed like the planes.  Only AND, OR and NOT touch the words, so they
+    keep the planes' byte order."""
     n, d, words = planes.shape
     bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
-    for start, stop in _row_blocks(len(rows), d * d * words):
-        # tests[r, i, j]: all ones when direction j+1 is in coordinate i of row r
-        tests = np.where(rows[start:stop, :, None] & bits != 0, ~np.uint64(0), np.uint64(0))
-        # reach[r, j, k]: the members with an arc j+1 -> k+1; one[r, j, k]:
-        # those where it is one-way, not an edge of both at the same position
-        reach = np.zeros((stop - start, d, d, words), dtype=np.uint64)
-        one = np.zeros_like(reach)
-        for i in range(n):
-            arcs = tests[:, i, :, None, None] & planes[i]
-            reach |= arcs
-            one |= arcs & ~arcs.swapaxes(1, 2)
-        # Warshall: reach[r, j, k] ends as the members with a path j+1 -> k+1
-        reach[:, range(d), range(d)] = 0
-        for v in range(d):
-            reach |= reach[:, :, v : v + 1] & reach[:, v : v + 1]
-        # bad when some one-way arc j -> k is closed by a path from k back to j
-        yield start, np.bitwise_or.reduce(one & reach.swapaxes(1, 2), axis=(1, 2))
+    # tests[r, i, j]: all ones when direction j+1 is in coordinate i of row r
+    tests = np.where(rows[:, :, None] & bits != 0, ~np.uint64(0), np.uint64(0))
+    # reach[r, j, k]: the members with an arc j+1 -> k+1; one[r, j, k]:
+    # those where it is one-way, not an edge of both at the same position
+    reach = np.zeros((len(rows), d, d, words), dtype=np.uint64)
+    one = np.zeros_like(reach)
+    for i in range(n):
+        arcs = tests[:, i, :, None, None] & planes[i]
+        reach |= arcs
+        one |= arcs & ~arcs.swapaxes(1, 2)
+    # Warshall: reach[r, j, k] ends as the members with a path j+1 -> k+1
+    reach[:, range(d), range(d)] = 0
+    for v in range(d):
+        reach |= reach[:, :, v : v + 1] & reach[:, v : v + 1]
+    # bad when some one-way arc j -> k is closed by a path from k back to j
+    return np.bitwise_or.reduce(one & reach.swapaxes(1, 2), axis=(1, 2))
 
 
 def _cycle_failures(rows: np.ndarray, d: int, cap: int) -> tuple[list[tuple[int, int]], int]:
-    """The pairs a < b of rows that ``_bad_cycles`` flags: the first cap in
+    """The pairs a < b of rows that ``_cycle_block`` flags: the first cap in
     row-major order, and the number of all.  The graph of (b, a) is the
-    graph of (a, b) reversed, and the graph of (a, a) has no one-way arc."""
+    graph of (a, b) reversed, and the graph of (a, a) has no one-way arc,
+    so each row block runs only against the members from the word of its
+    first row on."""
     kept: list[tuple[int, int]] = []
     total = 0
-    for start, bad in _bad_cycles(rows, _planes(rows, d)):
-        flagged = np.unpackbits(bad.view(np.uint8), axis=1, count=len(rows), bitorder="little")
-        a, b = np.nonzero(np.triu(flagged, start + 1))
+    planes = _planes(rows, d)
+    for start, stop in _row_blocks(len(rows), d * d * planes.shape[-1]):
+        skip = start // 64 * 64
+        bad = _cycle_block(rows[start:stop], planes[..., skip // 64 :])
+        flagged = np.unpackbits(
+            bad.view(np.uint8), axis=1, count=len(rows) - skip, bitorder="little"
+        )
+        a, b = np.nonzero(np.triu(flagged, start + 1 - skip))
         total += len(a)
         room = cap - len(kept)
-        kept += zip((a[:room] + start).tolist(), b[:room].tolist())
+        kept += zip((a[:room] + start).tolist(), (b[:room] + skip).tolist())
     return kept, total
 
 
@@ -386,6 +411,17 @@ def check_boundary(m: TomTypeSet) -> tuple[bool, tuple[int, ...]]:
     return not missing, missing
 
 
+def _value_pair_table(bits: np.ndarray, first: np.ndarray, unions: np.ndarray) -> np.ndarray:
+    """The (len(first) x V, words) table whose row u x V + v is bits[first[u]]
+    | bits[v] | bits[unions[u x V + v]], for the V values of one position
+    and the bitsets ``bits`` of check_elimination (V + 1 rows, the last
+    empty for a union outside the set)."""
+    table = np.take(bits, unions, axis=0).reshape(len(first), -1, bits.shape[1])
+    table |= bits[:-1]
+    table |= np.take(bits, first, axis=0)[:, None]
+    return table.reshape(-1, bits.shape[1])
+
+
 def check_elimination(
     m: TomTypeSet,
 ) -> tuple[bool, tuple[tuple[Type, Type, int], ...], int]:
@@ -396,54 +432,53 @@ def check_elimination(
     are kept, and the number returned counts all of them.
     """
     k, n = len(m.types), m.n
-    M = m.rows
-    # one bitset row per (position i, value at i); rank[c, i] is the row of
-    # type c's value, values[i] locates other values, the last row is empty
-    rank = np.empty((k, n), dtype=np.intp)
-    values = []
-    rows = 0
-    for i in range(n):
-        vals, inv = np.unique(M[:, i], return_inverse=True)
-        values.append((vals, rows))
-        rank[:, i] = rows + inv.reshape(-1)
-        rows += len(vals)
-    bitsets = np.zeros((rows + 1, (k + 63) // 64), dtype=np.uint64)
+    words = -(-k // 64)
     t = np.arange(k)
-    np.bitwise_or.at(
-        bitsets,
-        (rank, (t >> 6)[:, None]),
-        np.left_shift(np.uint64(1), (t & 63).astype(np.uint64))[:, None],
-    )
-
-    def rank_of(v: np.ndarray, i: int) -> np.ndarray:
-        vals, start = values[i]
-        pos = np.minimum(np.searchsorted(vals, v), len(vals) - 1)
-        return np.where(vals[pos] == v, start + pos, rows)
+    one = np.left_shift(np.uint64(1), (t & 63).astype(np.uint64))
+    # per position: its sorted values, each type's value index, and one
+    # bitset per value over the types, plus an empty last row
+    values = []
+    for column in m.rows.T:
+        vals, inv = np.unique(column, return_inverse=True)
+        bits = np.zeros((len(vals) + 1, words), dtype=np.uint64)
+        np.bitwise_or.at(bits, (inv, t >> 6), one)
+        values.append((vals, inv, bits))
 
     total = 0
     kept = np.empty(0, dtype=np.int64)  # keys (a * k + b) * n + position - 1
     for start, stop in _row_blocks(k, k):
+        # the pairs a < b of the block, a counted from the block's first row
         a, b = np.nonzero(np.triu(np.ones((stop - start, k), dtype=bool), start + 1))
-        a += start
-        A, B = M[a], M[b]
-        # where A_j and B_j are comparable, A or B is a witness at j
-        incomparable = ((A & ~B) != 0) & ((B & ~A) != 0)
-        some = incomparable.any(axis=1)
-        a, b, A, B = a[some], b[some], A[some], B[some]
-        incomparable = incomparable[some]
-        U = A | B
-        ru = np.stack([rank_of(U[:, i], i) for i in range(n)], axis=1)
-        # cands[p]: the C with every C_i in {A_i, B_i, A_i | B_i}
-        cands = bitsets[rank[a, 0]] | bitsets[rank[b, 0]] | bitsets[ru[:, 0]]
-        for i in range(1, n):
-            cands &= bitsets[rank[a, i]] | bitsets[rank[b, i]] | bitsets[ru[:, i]]
-        fail = np.zeros_like(incomparable)
-        for j in range(n):
-            p = np.flatnonzero(incomparable[:, j])
-            fail[p, j] = ~(cands[p] & bitsets[ru[p, j]]).any(axis=1)
+        # cands[p]: the C with every C_i in {A_i, B_i, A_i | B_i}, the AND
+        # over positions i of T_i[A_i, B_i]; tests[i]: the pairs where A_i
+        # and B_i are incomparable, and the bitset row of their A_i | B_i
+        cands = None
+        tests = []
+        for vals, inv, bits in values:
+            first, local = np.unique(inv[start:stop], return_inverse=True)
+            joined = vals[first, None] | vals
+            rank = np.minimum(np.searchsorted(vals, joined), len(vals) - 1)
+            unions = np.where(vals[rank] == joined, rank, len(vals)).reshape(-1)
+            # a pair's row in tables of the block's A values against all values
+            code = local[a] * len(vals) + np.take(inv, b)
+            table = _value_pair_table(bits, first, unions)
+            if cands is None:
+                cands = np.take(table, code, axis=0)
+            else:
+                cands &= np.take(table, code, axis=0)
+            # where A_i | B_i is A_i or B_i, A or B is a witness at i
+            apart = (joined != vals[first, None]) & (joined != vals)
+            p = np.flatnonzero(np.take(apart.reshape(-1), code))
+            tests.append((bits, p, np.take(unions, np.take(code, p))))
+        fail = np.zeros((len(a), n), dtype=bool)
+        for j, (bits, p, union) in enumerate(tests):
+            hit = np.take(cands, p, axis=0)
+            hit &= np.take(bits, union, axis=0)
+            fail[p, j] = np.bitwise_or.reduce(hit, axis=1) == 0
         p, j = np.nonzero(fail)
         total += 2 * len(p)
-        a, b = a[p].astype(np.int64), b[p].astype(np.int64)
+        a = a[p].astype(np.int64) + start
+        b = b[p].astype(np.int64)
         kept = np.concatenate([kept, (a * k + b) * n + j, (b * k + a) * n + j])
         if len(kept) > 2 * _MAX_REPORTED_FAILURES:
             # the failures beyond the cap-th smallest can never be reported

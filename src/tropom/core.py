@@ -26,11 +26,16 @@ from typing import Iterable, Iterator, TypeVar
 import numpy as np
 
 MAX_DIRECTIONS = 64
-# completion lists K·2^n semitypes.  The largest dual the tests, demos and
-# benchmark take is a (6,5) arrangement's, 2561·2^6 = 163,904 semitypes;
-# 2^18 admits it, and refuses at once what would run for hours (two types
-# of n = 64 coordinates have 2^65 semitypes)
+# completion lists K·2^n semitypes.  The largest completion the tests take
+# is a (6,5) arrangement's, 2561·2^6 = 163,904 semitypes; 2^18 admits it,
+# and refuses at once what would run for hours (two types of n = 64
+# coordinates have 2^65 semitypes)
 _COMPLETION_CAP = 1 << 18
+# dual builds K·(2^n - 1) rows of d cells.  For seed-7 arrangements, (7,6)
+# builds 1.4·10^7 cells in 0.6 s at a 173 MiB peak RSS, and (8,6)
+# 4.9·10^7 cells in 2.6 s; 2^26 cells admits both and refuses at once what
+# would exhaust memory (two types of n = 64 coordinates)
+_DUAL_CAP = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +466,12 @@ def transpose(s: SemiType) -> SemiType:
     return SemiType(s.d, s.n, tuple(rows[0].tolist()))
 
 
-def _check_completion(m: TomTypeSet) -> None:
+def completion(m: TomTypeSet) -> frozenset[SemiType]:
+    """All semitypes obtained from members of m by emptying some coordinates."""
     if len(m) << m.n > _COMPLETION_CAP:
         raise SearchSpaceTooLargeError(
             f"completion lists {len(m) << m.n} semitypes, over the cap {_COMPLETION_CAP}"
         )
-
-
-def completion(m: TomTypeSet) -> frozenset[SemiType]:
-    """All semitypes obtained from members of m by emptying some coordinates."""
-    _check_completion(m)
     return frozenset(
         SemiType(m.n, m.d, tuple(c if k else 0 for c, k in zip(t.coords, keep)))
         for t in m
@@ -495,7 +496,11 @@ def dual(m: TomTypeSet) -> TomTypeSet:
     """The dual (d, n) type set: reduce the transposes of the completion,
     computed on rows: the set's transpose masked with every nonempty set of
     positions, keeping the rows with no empty column."""
-    _check_completion(m)  # so n <= 18 unless the set is empty
+    cells = len(m) * ((1 << m.n) - 1) * m.d
+    if cells > _DUAL_CAP:  # so n <= 26 unless the set is empty
+        raise SearchSpaceTooLargeError(
+            f"dual builds {cells} cells, over the cap {_DUAL_CAP}"
+        )
     subsets = np.arange(1, 1 << m.n if len(m) else 1, dtype=np.uint64)
     rows = (_transpose_rows(m.rows, m.d) & subsets[:, None, None]).reshape(-1, m.d)
     return TomTypeSet._from_rows(m.d, m.n, rows[(rows != 0).all(axis=1)])

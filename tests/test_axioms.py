@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -238,6 +239,34 @@ def test_cycle_kernel_matches_naive_oracle(monkeypatch):
     assert 0.2 < flagged / pairs < 0.8
 
 
+def test_cycle_failures_run_each_block_from_its_own_word(monkeypatch):
+    rng = random.Random(20071)
+    kernel = axioms._cycle_block
+    flagged = 0
+    for d, n, k in [(3, 2, 63), (4, 3, 64), (3, 3, 65), (4, 2, 150), (2, 2, 1), (3, 1, 0)]:
+        rows = np.array([_random_coords(rng, n, d) for _ in range(k)], dtype=np.uint64).reshape(k, n)
+        grid = np.triu(cycle_grid(rows, rows, d), 1)
+        expected = list(zip(*(x.tolist() for x in np.nonzero(grid))))
+        # 7 cells: one row a block; 40 * d^2 * words: 40-row blocks that
+        # start inside a word as well as on its first bit
+        for budget in (axioms._PAIR_BUDGET, 7, 40 * d * d * -(-k // 64)):
+            monkeypatch.setattr(axioms, "_PAIR_BUDGET", budget)
+            widths = []
+
+            def counted(block, planes):
+                widths.append(planes.shape[-1])
+                return kernel(block, planes)
+
+            monkeypatch.setattr(axioms, "_cycle_block", counted)
+            for cap in (10**9, 5):
+                assert axioms._cycle_failures(rows, d, cap) == (expected[:cap], len(expected))
+            monkeypatch.setattr(axioms, "_cycle_block", kernel)
+            starts = [start for start, _ in axioms._row_blocks(k, d * d * -(-k // 64))]
+            assert widths == 2 * [-(-k // 64) - start // 64 for start in starts]
+        flagged += len(expected)
+    assert flagged > 100
+
+
 def test_comparability_witnesses_are_closed_walks():
     rng = random.Random(4242)
     seen = 0
@@ -362,6 +391,94 @@ def test_elimination_failures_match_naive_loops(monkeypatch):
             assert total == len(expected)
         broken += bool(expected)
     assert broken >= 5
+
+
+def _sized_set(rng, n, d, k, masks=None):
+    """k distinct random types of shape (n, d), each coordinate one of masks
+    (every nonempty mask by default)."""
+    masks = masks or range(1, 1 << d)
+    pool = list(itertools.product(masks, repeat=n))
+    return TomTypeSet.from_types(Type(n, d, c) for c in rng.sample(pool, k))
+
+
+def _elimination_edge_cases(rng):
+    """Sets at the edges of the value-pair tables: no type, one type, one
+    value a position, one position, unions outside the set, one word full
+    and one bit past it, and several words, valid and broken."""
+    several = arrangement_tom(random_generic_arrangement(2, 5, seed=1))
+    assert len(several) > 128  # bitsets of three words
+    return [
+        TomTypeSet(2, 3, ()),
+        TomTypeSet.from_types([T(3, "12", "3")]),
+        TomTypeSet.from_types([Type(4, 1, (1, 1, 1, 1))]),  # d = 1
+        _sized_set(rng, 1, 5, 20),
+        _sized_set(rng, 1, 1, 1),
+        # singleton coordinates: no A_j | B_j of an incomparable j is a value
+        _sized_set(rng, 3, 4, 30, masks=(1, 2, 4, 8)),
+        _sized_set(rng, 3, 3, 63),
+        _sized_set(rng, 3, 3, 64),
+        _sized_set(rng, 3, 3, 65),
+        several,
+        TomTypeSet(2, 5, several.types[:40] + several.types[43:]),
+    ]
+
+
+def test_elimination_tables_match_naive_loops_at_the_edges(monkeypatch):
+    absent = broken = 0
+    for m in _elimination_edge_cases(random.Random(53)):
+        expected = _naive_elimination_failures(m)
+        naive = {oracles.as_naive(t) for t in m}
+        assert (not expected) == oracles.elimination_ok(naive, m.n, m.d), m
+        # a budget of 7 pairs puts every row in a block of its own
+        for budget in (axioms._PAIR_BUDGET, 7):
+            monkeypatch.setattr(axioms, "_PAIR_BUDGET", budget)
+            assert axioms.check_elimination(m) == (not expected, tuple(expected), len(expected))
+        columns = [set(column) for column in zip(*(t.coords for t in m))]
+        absent += any(
+            a | b not in column and a | b not in (a, b)
+            for x in m
+            for y in m
+            for a, b, column in zip(x.coords, y.coords, columns)
+        )
+        broken += bool(expected)
+    assert absent >= 2 and broken >= 5
+
+
+def test_elimination_tables_hold_the_block_values_only(monkeypatch):
+    # each table has a row for each distinct A value of its block (at most
+    # the block's rows) times each value of the position, never V^2 rows
+    events = []
+    row_blocks, pair_table = axioms._row_blocks, axioms._value_pair_table
+
+    def blocks(k, width):
+        for start, stop in row_blocks(k, width):
+            events.append(("block", stop - start))
+            yield start, stop
+
+    def table(bits, first, unions):
+        out = pair_table(bits, first, unions)
+        events.append(("table", len(first), len(bits) - 1, out.shape[0]))
+        return out
+
+    monkeypatch.setattr(axioms, "_row_blocks", blocks)
+    monkeypatch.setattr(axioms, "_value_pair_table", table)
+    m = _sized_set(random.Random(54), 3, 3, 65)
+    failures = _naive_elimination_failures(m)
+    for budget in (axioms._PAIR_BUDGET, 7, 65 * 10):
+        monkeypatch.setattr(axioms, "_PAIR_BUDGET", budget)
+        events.clear()
+        assert axioms.check_elimination(m) == (not failures, tuple(failures), len(failures))
+        rows, repeats = 0, 0
+        for event in events:
+            if event[0] == "block":
+                rows = event[1]
+                continue
+            _, distinct, values, size = event
+            assert size == distinct * values <= rows * values
+            assert distinct <= 7  # 7 masks of 3 directions
+            repeats += distinct < rows
+        assert sum(e[0] == "table" for e in events) == 3 * sum(e[0] == "block" for e in events)
+        assert repeats > 0 or budget == 7
 
 
 def test_elimination_report_is_capped(monkeypatch):

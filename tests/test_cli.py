@@ -9,6 +9,7 @@ import json
 import pytest
 
 from tropom import (
+    arrangement_tom,
     cli,
     core,
     random_generic_arrangement,
@@ -217,11 +218,23 @@ def test_dual_refuses_a_completion_over_the_cap(monkeypatch, capsys):
     code, out, err = invoke(monkeypatch, capsys, ["tom", "dual"], wide)
     assert (code, out) == (2, "")
     assert "over the cap" in err
-    # the prism's completion lists 17 * 2^2 = 68 semitypes
-    monkeypatch.setattr(core, "_COMPLETION_CAP", 67)
+    # the prism's dual builds 17 * (2^2 - 1) rows of 3 cells
+    monkeypatch.setattr(core, "_DUAL_CAP", 152)
     assert invoke(monkeypatch, capsys, ["tom", "dual"], PRISM_JSON)[:2] == (2, "")
-    monkeypatch.setattr(core, "_COMPLETION_CAP", 68)
+    monkeypatch.setattr(core, "_DUAL_CAP", 153)
     assert invoke(monkeypatch, capsys, ["tom", "dual"], PRISM_JSON)[0] == 0
+
+
+def test_dual_takes_six_hyperplanes_in_six_directions(monkeypatch, capsys):
+    # 10,625 types: 680,000 semitypes, over the completion's cap
+    m = arrangement_tom(random_generic_arrangement(6, 6, seed=7))
+    assert len(m) << m.n > core._COMPLETION_CAP
+    code, out, _ = invoke(monkeypatch, capsys, ["tom", "dual"], json.dumps(m.to_obj()))
+    assert code == 0
+    # the dual of a (6,6) arrangement's set is a (6,6) set whose dual is m
+    found = core.TomTypeSet.from_obj(json.loads(out))
+    assert (found.n, found.d) == (6, 6)
+    assert core.dual(found) == m
 
 
 def test_cayley_rejects_non_triangulations(monkeypatch, capsys):
