@@ -11,8 +11,9 @@ A type set is a tropical oriented matroid when it satisfies:
 * surrounding   — every refinement of a member is a member.
 
 ``check_axioms`` sweeps all four and returns a report carrying witnesses for
-whatever failed.  All sweeps work on the set's mask rows ``m.rows``; ``Type``
-objects are only looked up for the witnesses.
+whatever failed.  All sweeps work on ``len(m)`` and the set's mask rows
+``m.rows``; ``m.types``, whose Type objects a set builds on first access,
+is read only to name the witnesses of a failure.
 
 Elimination and comparability are symmetric in A and B, so both report
 only the pairs a < b, walking the rows in blocks of at most
@@ -431,7 +432,7 @@ def check_elimination(
     A and B in the set and by j; only the first _MAX_REPORTED_FAILURES
     are kept, and the number returned counts all of them.
     """
-    k, n = len(m.types), m.n
+    k, n = len(m), m.n
     words = -(-k // 64)
     t = np.arange(k)
     one = np.left_shift(np.uint64(1), (t & 63).astype(np.uint64))
@@ -517,7 +518,7 @@ def check_surrounding(
     ordered partition) pairs of a failing set are counted type by type and
     the first _MAX_REPORTED_FAILURES kept.
     """
-    if not m.types or all(
+    if not len(m) or all(
         m.has_rows(refined).all()
         for *_, refined in _refined_blocks(m.rows, _two_block_parts(m.d))
     ):

@@ -15,8 +15,9 @@ Each program and subcommand is declared once, in `_PROGRAMS`: program ->
 (description, {subcommand: (handler, options)}), options being (name,
 `add_argument` keywords) pairs in order.  Most handlers are `_emit_obj` or
 `_emit_report` around one library call, made through its module's name at
-call time, so a tracer that swaps those names sees every call.  A program's
-parser is built from the table on first use, then reused."""
+call time, so a tracer that swaps those names sees every call.  A type set
+is printed from its mask rows by `_emit_types`, everything else by `_emit`.
+A program's parser is built from the table on first use, then reused."""
 
 from __future__ import annotations
 
@@ -58,8 +59,28 @@ def _emit(obj: object) -> None:
     list of ints, and each list of such lists, once per indent, and hands
     everything else to `json.dumps`; a list object that recurs, like a
     census cell, is found by its identity before its contents are read.
-    Its output must stay byte-identical to `json.dumps(obj, indent=2)`."""
+    Its output must stay byte-identical to `json.dumps(obj, indent=2)`.
+    It prints every object but a type set, which `_emit_types` prints from
+    its rows."""
     print(_indented(obj, "\n", {}))
+
+
+def _emit_types(m: core.TomTypeSet) -> None:
+    """Print a type set exactly as `_emit(m.to_obj())` would, from its mask
+    rows and without its Type objects: the text of each distinct mask is
+    built once, at the indent of a coordinate, and each row is one join of
+    its masks' texts."""
+    texts = {
+        mask: "[\n        " + ",\n        ".join(map(str, core.elements_of(mask)))
+        + "\n      ]"
+        for mask in set(m.rows.ravel().tolist())
+    }
+    types = ",\n    ".join(
+        "[\n      " + ",\n      ".join(map(texts.__getitem__, row)) + "\n    ]"
+        for row in m.rows.tolist()
+    )
+    body = "[\n    " + types + "\n  ]" if len(m) else "[]"
+    print(f'{{\n  "n": {m.n},\n  "d": {m.d},\n  "types": {body}\n}}')
 
 
 def _indented(obj: object, newline: str, memo: dict) -> str:
@@ -100,8 +121,10 @@ def _indented(obj: object, newline: str, memo: dict) -> str:
             json.dumps(k) + ": " + _indented(v, inner, memo) for k, v in obj.items()
         )
         return "{" + inner + body + newline + "}"
-    # None, bools, empty containers and anything else: json's own text,
-    # with its line breaks shifted to this depth
+    if obj is None or type(obj) in (bool, float) or (type(obj) in (list, dict) and not obj):
+        # no line break in these, so json's C encoder gives the indented text
+        return json.dumps(obj)
+    # anything else: json's own text, with its line breaks shifted to this depth
     return json.dumps(obj, indent=2).replace("\n", newline)
 
 
@@ -115,7 +138,11 @@ def _collection(args: argparse.Namespace) -> subdivision.SubgraphCollection:
 
 def _emit_obj(apply: Callable[[argparse.Namespace], object]) -> Handler:
     def handler(args: argparse.Namespace) -> int:
-        _emit(apply(args).to_obj())
+        out = apply(args)
+        if isinstance(out, core.TomTypeSet):
+            _emit_types(out)
+        else:
+            _emit(out.to_obj())
         return 0
 
     return handler

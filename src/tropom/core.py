@@ -20,7 +20,7 @@ with each nonempty S, less the rows with an empty column.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, TypeVar
 
 import numpy as np
@@ -31,10 +31,11 @@ MAX_DIRECTIONS = 64
 # and refuses at once what would run for hours (two types of n = 64
 # coordinates have 2^65 semitypes)
 _COMPLETION_CAP = 1 << 18
-# dual builds K·(2^n - 1) rows of d cells.  For seed-7 arrangements, (7,6)
-# builds 1.4·10^7 cells in 0.6 s at a 173 MiB peak RSS, and (8,6)
-# 4.9·10^7 cells in 2.6 s; 2^26 cells admits both and refuses at once what
-# would exhaust memory (two types of n = 64 coordinates)
+# dual builds K·(2^n - 1) rows of d cells, a block of position sets at a
+# time, so its memory follows the dual's size, not the cells.  For seed-7
+# arrangements, (7,6) builds 1.4·10^7 cells in 0.19 s at a 47 MiB peak RSS,
+# and (8,6) 4.9·10^7 cells in 0.7 s at 77 MiB; 2^26 cells admits both and
+# refuses at once what would run for hours (two types of n = 64 coordinates)
 _DUAL_CAP = 1 << 26
 
 
@@ -159,6 +160,28 @@ def _coord_str(mask: int, d: int) -> str:
     return "{" + ",".join(str(j) for j in elements_of(mask)) + "}"
 
 
+def _coords_str(coords: Iterable[int], d: int) -> str:
+    return "(" + ",".join(_coord_str(m, d) for m in coords) + ")"
+
+
+def _exactly(items: Iterable[object], kind: type) -> bool:
+    """Whether every item is exactly of the kind (no bool for int)."""
+    return set(map(type, items)) <= {kind}
+
+
+def _read_coords(obj: object, d: int, allow_empty: bool, what: str) -> list[int]:
+    """The masks of a JSON (semi)type, a nonempty list of coordinate lists
+    of 1-based directions: its shape is checked before any element."""
+    if not isinstance(obj, list) or not obj:
+        raise ValueError(f"a {what} is a nonempty array of coordinate arrays")
+    for i, coord in enumerate(obj, start=1):
+        if not isinstance(coord, list):
+            raise ValueError(f"coordinate {i} is not an array")
+        if not coord and not allow_empty:
+            raise EmptyCoordinateError(i)
+    return [mask_from_elements(c, d, i) for i, c in enumerate(obj, start=1)]
+
+
 # ---------------------------------------------------------------------------
 # types and semitypes
 
@@ -193,16 +216,8 @@ class SemiType:
 
     @classmethod
     def from_obj(cls: type[_S], obj: object, d: int) -> _S:
-        if not isinstance(obj, list) or not obj:
-            raise ValueError(
-                f"a {cls.__name__.lower()} is a nonempty array of coordinate arrays"
-            )
-        for i, coord in enumerate(obj, start=1):
-            if not isinstance(coord, list):
-                raise ValueError(f"coordinate {i} is not an array")
-            if not coord and not cls._allow_empty:
-                raise EmptyCoordinateError(i)
-        return cls.from_sets(len(obj), d, obj)
+        coords = _read_coords(obj, d, cls._allow_empty, cls.__name__.lower())
+        return cls(len(coords), d, tuple(coords))
 
     def to_obj(self) -> list[list[int]]:
         return [list(elements_of(m)) for m in self.coords]
@@ -218,7 +233,7 @@ class SemiType:
         return Type(self.n, self.d, self.coords)
 
     def __str__(self) -> str:
-        return "(" + ",".join(_coord_str(m, self.d) for m in self.coords) + ")"
+        return _coords_str(self.coords, self.d)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}{self}"
@@ -348,47 +363,53 @@ def _key_rows(keys: np.ndarray, n: int) -> np.ndarray:
     return keys.view(">u8").reshape(-1, n).astype(np.uint64)
 
 
-@dataclass(frozen=True)
 class TomTypeSet:
     """A finite set of (n, d)-types in canonical order.  Value semantics.
 
-    ``rows`` holds their masks, a read-only (K, n) uint64 array in the same
-    order; membership is a search on the rows' sorted keys."""
+    The set is its mask rows: ``rows``, a read-only (K, n) uint64 array in
+    canonical (lexicographic) order, with one sorted key per row.
+    Membership is a search on the keys, and ``==`` and ``hash`` read n, d
+    and the keys.  ``types``, the members as Type objects in the same
+    order, is built from the rows on first access only: parsing
+    (``from_obj``), every axiom on a valid set, the closure, tope
+    reconstruction, duality and the minors read and write rows alone.
+    ``TomTypeSet(n, d, types)`` builds a set from Type objects."""
 
-    n: int
-    d: int
-    types: tuple[Type, ...]
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    _keys: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "d", "rows", "_keys", "_types")
 
-    def __post_init__(self) -> None:
-        _validate_dims(self.n, self.d)
-        pool = tuple(self.types)
+    def __init__(self, n: int, d: int, types: Iterable[Type]) -> None:
+        _validate_dims(n, d)
+        pool = tuple(types)
         for t in pool:
             if not isinstance(t, Type):
                 raise TypeError(f"not a Type: {t!r}")
-            if (t.n, t.d) != (self.n, self.d):
-                raise ValueError(
-                    f"type {t} has shape ({t.n},{t.d}), expected ({self.n},{self.d})"
-                )
-        rows = np.array([t.coords for t in pool], dtype=np.uint64).reshape(-1, self.n)
+            if (t.n, t.d) != (n, d):
+                raise ValueError(f"type {t} has shape ({t.n},{t.d}), expected ({n},{d})")
+        rows = np.array([t.coords for t in pool], dtype=np.uint64).reshape(-1, n)
         keys, first = np.unique(_row_keys(rows), return_index=True)
-        self._hold(tuple(pool[i] for i in first.tolist()), rows[first], keys)
+        self._hold(n, d, rows[first], keys, tuple(pool[i] for i in first.tolist()))
 
-    def _hold(self, types: tuple[Type, ...], rows: np.ndarray, keys: np.ndarray) -> None:
+    def _hold(
+        self, n: int, d: int, rows: np.ndarray, keys: np.ndarray, types: tuple | None
+    ) -> None:
         rows.flags.writeable = False
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_keys", keys)
+        for name, value in zip(self.__slots__, (n, d, rows, keys, types)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a TomTypeSet")
+
+    def __reduce__(self) -> tuple:
+        return TomTypeSet._from_rows, (self.n, self.d, self.rows)
 
     @classmethod
     def _from_rows(cls, n: int, d: int, rows: np.ndarray) -> "TomTypeSet":
         """The set of the types whose masks are the rows of a (K, n) uint64
-        array, sorted and deduplicated before any Type is built."""
-        out = cls(n, d, ())
+        array, sorted and deduplicated; no Type is built."""
+        _validate_dims(n, d)
         keys = np.unique(_row_keys(rows.reshape(-1, n)))
-        rows = _key_rows(keys, n)
-        out._hold(tuple(Type(n, d, tuple(r)) for r in rows.tolist()), rows, keys)
+        out = cls.__new__(cls)
+        out._hold(n, d, _key_rows(keys, n), keys, None)
         return out
 
     @classmethod
@@ -400,20 +421,55 @@ class TomTypeSet:
 
     @classmethod
     def from_obj(cls, obj: object) -> "TomTypeSet":
+        """Read {"n", "d", "types"} straight into mask rows, checking each
+        type as ``Type.from_obj`` does, in order, so the first bad type
+        raises the same error.  Each distinct coordinate is checked once: a
+        type whose coordinates are all known valid takes their masks.  A
+        known coordinate is found by equality, and True == 1.0 == 1, so the
+        memo is used only when every type and coordinate is a list and
+        every element an int."""
         n, d, raw = read_shaped(obj, "a type set", "types")
         _validate_dims(n, d)
         if not isinstance(raw, list):
             raise ValueError("types must be an array")
-        types = []
+        flat = list(itertools.chain.from_iterable(raw)) if _exactly(raw, list) else [0]
+        exact = _exactly(flat, list) and _exactly(itertools.chain.from_iterable(flat), int)
+        known: dict[tuple, int] = {}  # a valid coordinate's elements -> its mask
+        rows = []
         for entry in raw:
-            t = Type.from_obj(entry, d)
-            if t.n != n:
-                raise ValueError(f"type {t} has {t.n} coordinates, expected {n}")
-            types.append(t)
-        return cls(n, d, tuple(types))
+            coords = list(map(tuple, entry)) if exact else []
+            row = list(map(known.get, coords))
+            if not row or None in row:
+                row = _read_coords(entry, d, False, "type")
+                known.update(zip(coords, row))
+            if len(row) != n:
+                raise ValueError(
+                    f"type {_coords_str(row, d)} has {len(row)} coordinates, expected {n}"
+                )
+            rows.append(row)
+        return cls._from_rows(n, d, np.array(rows, dtype=np.uint64).reshape(-1, n))
+
+    @property
+    def types(self) -> tuple[Type, ...]:
+        """The members as Type objects, in canonical order."""
+        if self._types is None:
+            object.__setattr__(self, "_types", tuple(
+                Type(self.n, self.d, tuple(row)) for row in self.rows.tolist()
+            ))
+        return self._types
 
     def to_obj(self) -> dict:
         return {"n": self.n, "d": self.d, "types": [t.to_obj() for t in self.types]}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.d, self._keys.tobytes()) == (
+            other.n, other.d, other._keys.tobytes()
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.d, self._keys.tobytes()))
 
     def __contains__(self, t: object) -> bool:
         return (
@@ -441,7 +497,10 @@ class TomTypeSet:
         return iter(self.types)
 
     def __len__(self) -> int:
-        return len(self.types)
+        return len(self.rows)
+
+    def __repr__(self) -> str:
+        return f"TomTypeSet(n={self.n}, d={self.d}, types={self.types!r})"
 
     def __str__(self) -> str:
         body = ", ".join(str(t) for t in self.types)
@@ -495,12 +554,26 @@ def reduction(
 def dual(m: TomTypeSet) -> TomTypeSet:
     """The dual (d, n) type set: reduce the transposes of the completion,
     computed on rows: the set's transpose masked with every nonempty set of
-    positions, keeping the rows with no empty column."""
+    positions, keeping the rows with no empty column.  The position sets go
+    in blocks of at most axioms._PAIR_BUDGET cells, or of one set; each
+    block's kept keys are deduplicated and merged into those found so far."""
+    from .axioms import _row_blocks  # axioms imports this module
+
     cells = len(m) * ((1 << m.n) - 1) * m.d
     if cells > _DUAL_CAP:  # so n <= 26 unless the set is empty
         raise SearchSpaceTooLargeError(
             f"dual builds {cells} cells, over the cap {_DUAL_CAP}"
         )
-    subsets = np.arange(1, 1 << m.n if len(m) else 1, dtype=np.uint64)
-    rows = (_transpose_rows(m.rows, m.d) & subsets[:, None, None]).reshape(-1, m.d)
-    return TomTypeSet._from_rows(m.d, m.n, rows[(rows != 0).all(axis=1)])
+    transposed = _transpose_rows(m.rows, m.d)
+    found = [_row_keys(transposed[:0])]
+    held = 0
+    for start, stop in _row_blocks((1 << m.n) - 1 if len(m) else 0, len(m) * m.d):
+        subsets = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        rows = (transposed & subsets[:, None, None]).reshape(-1, m.d)
+        found.append(np.unique(_row_keys(rows[(rows != 0).all(axis=1)])))
+        held += len(found[-1])
+        if held > 2 * len(found[0]):
+            # merged once the blocks outgrow the keys found so far
+            found = [np.unique(np.concatenate(found))]
+            held = len(found[0])
+    return TomTypeSet._from_rows(m.d, m.n, _key_rows(np.concatenate(found), m.d))

@@ -182,9 +182,10 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
     a candidate with any bit set is dropped.
     """
     n, d = tope_set.n, tope_set.d
-    for t in tope_set:
-        if not is_tope(t):
-            raise ValueError(f"not a tope: {t}")
+    rows = tope_set.rows
+    wide = np.flatnonzero((rows & (rows - np.uint64(1)) != 0).any(axis=1))
+    if len(wide):
+        raise ValueError(f"not a tope: {tope_set.types[wide[0]]}")
     tables = _latest(d)
     minors = [tope_set]
     while minors[0].n > 1:

@@ -51,7 +51,7 @@ from .core import (
     elements_of,
     read_shaped,
 )
-from .structure import _components, is_vertex, vertices
+from .structure import _components, vertices
 
 # Spanning-tree budget for the triangulation census.  1000 admits every
 # shape that finishes in seconds; the first shapes past it ((4,4), (3,5))
@@ -189,9 +189,10 @@ class SubgraphCollection:
 
 def _spans(cell: BipartiteSubgraph) -> bool:
     """True when the cell covers and connects all of K_{n,d}: every left row
-    is nonempty and the type the rows form is zero-dimensional."""
+    is nonempty and the rows join the directions into one component, so the
+    type they form is zero-dimensional."""
     rows = cell.left_masks()
-    return all(rows) and is_vertex(Type(cell.n, cell.d, rows))
+    return all(rows) and len(_components(rows, cell.d)) == 1
 
 
 def _alternating_cycle(

@@ -5,14 +5,17 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import random
 
 import pytest
 
 from tropom import (
     arrangement_tom,
+    axioms,
     cli,
     core,
     random_generic_arrangement,
+    subdivision,
     type_of_point,
     vertex_points,
     vertices,
@@ -366,3 +369,85 @@ def test_triangulation_check_refuses_sixty_five_directions(monkeypatch, capsys, 
     code, out, err = invoke(monkeypatch, capsys, argv, cells)
     assert (code, out) == (2, "")
     assert err == "error: direction count d=65 outside [1, 64]\n"
+
+
+_VALID = [[[1], [1]], [[1, 2], [2]], [[3], [1]]]
+
+
+@pytest.mark.parametrize(
+    "types, error",
+    [
+        (_VALID + [[[1], [True]]], "element True at position 2 is out of range"),
+        (_VALID + [[[False], [1]]], "element False at position 1 is out of range"),
+        (_VALID + [[[1], [1.0]]], "element 1.0 at position 2 is out of range"),
+        (_VALID + [[[1], [0]]], "element 0 at position 2 is out of range"),
+        (_VALID + [[[1], [2, 4]]], "element 4 at position 2 is out of range"),
+        (_VALID + [[[1], []]], "coordinate 2 is empty"),
+        (_VALID + [[[1], 2]], "coordinate 2 is not an array"),
+        (_VALID + [[]], "a type is a nonempty array of coordinate arrays"),
+        (_VALID + [[[1]]], "type (1) has 1 coordinates, expected 2"),
+        ({"a": 1}, "types must be an array"),
+    ],
+)
+@pytest.mark.parametrize("argv", [["tom", "check"], ["tom", "topes"], ["subdiv", "from-tom"]])
+def test_malformed_type_sets_exit_two_with_the_first_error(
+    monkeypatch, capsys, argv, types, error
+):
+    text = json.dumps({"n": 2, "d": 3, "types": types})
+    assert invoke(monkeypatch, capsys, argv, text) == (2, "", f"error: {error}\n")
+
+
+def test_repeated_elements_and_types_are_accepted(monkeypatch, capsys):
+    twice = prism_tom().to_obj()
+    twice["types"] = [[c + c for c in t] for t in twice["types"] * 2]
+    code, out, err = invoke(monkeypatch, capsys, ["tom", "check"], json.dumps(twice))
+    assert (code, err) == (0, "")
+    assert out == invoke(monkeypatch, capsys, ["tom", "check"], PRISM_JSON)[1]
+
+
+def _count_types(monkeypatch) -> list:
+    """Count every Type built from now on."""
+    built = []
+    post_init = core.Type.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(core.Type, "__post_init__", counted)
+    return built
+
+
+def test_valid_checks_and_conversions_build_no_type(monkeypatch, capsys):
+    tris = subdivision.enumerate_triangulations(3, 3)[::40] + (prism_cells(),)
+    inputs = [json.dumps(t.to_obj()) for t in tris]
+    built = _count_types(monkeypatch)
+    for cells in inputs:
+        code, tom, _ = invoke(monkeypatch, capsys, ["subdiv", "to-tom"], cells)
+        assert code == 0
+        code, out, _ = invoke(monkeypatch, capsys, ["tom", "check"], tom)
+        assert (code, json.loads(out)["ok"]) == (0, True)
+    assert invoke(monkeypatch, capsys, ["tom", "check"], PRISM_JSON)[0] == 0
+    assert built == []
+
+
+def test_broken_set_reports_keep_their_bytes(monkeypatch, capsys):
+    """A report names its failures by Type objects, built for the set only
+    then; its text is the report of the same set built from Types."""
+    rng = random.Random(29)
+    cases = [
+        core.TomTypeSet.from_types([t for t in prism_tom() if t != T(3, "2", "1")]),
+        core.TomTypeSet.from_types([t for t in prism_tom() if t.coords[0] != 0b111]),
+    ]
+    for n, d in [(2, 3), (3, 4), (2, 5)]:
+        cases.append(core.TomTypeSet.from_types(
+            core.Type(n, d, tuple(rng.randint(1, (1 << d) - 1) for _ in range(n)))
+            for _ in range(30)
+        ))
+    for m in cases:
+        expected = json.dumps(axioms.check_axioms(m).to_obj(), indent=2) + "\n"
+        built = _count_types(monkeypatch)
+        code, out, _ = invoke(monkeypatch, capsys, ["tom", "check"], json.dumps(m.to_obj()))
+        assert (code, out) == (1, expected)
+        assert len(built) == len(m)  # the members are built once, to name failures
+        monkeypatch.undo()

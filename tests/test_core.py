@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from tropom import axioms
 from tropom import (
     Arrangement,
     EmptyCoordinateError,
@@ -15,6 +16,7 @@ from tropom import (
     SemiType,
     SubgraphCollection,
     TomTypeSet,
+    TropomError,
     Type,
     arrangement_tom,
     completion,
@@ -176,6 +178,109 @@ def test_typeset_obj_roundtrip():
     assert again.to_obj() == m.to_obj()
 
 
+def _parsed_type_by_type(obj):
+    """TomTypeSet.from_obj the long way, one Type.from_obj per entry: the
+    result, or the class and message of the first error."""
+    try:
+        n, d, raw = obj["n"], obj["d"], obj["types"]
+        types = []
+        for entry in raw:
+            t = Type.from_obj(entry, d)
+            if t.n != n:
+                raise ValueError(f"type {t} has {t.n} coordinates, expected {n}")
+            types.append(t)
+        return TomTypeSet(n, d, tuple(types))
+    except (ValueError, TypeError, TropomError) as exc:
+        return type(exc), str(exc)
+
+
+def _parsed(obj):
+    try:
+        return TomTypeSet.from_obj(obj)
+    except (ValueError, TypeError, TropomError) as exc:
+        return type(exc), str(exc)
+
+
+def test_typeset_parse_matches_type_by_type_on_valid_and_malformed_input():
+    """Among valid coordinates a bad one must still be caught: True and 1.0
+    equal 1, so a coordinate memo keyed on contents alone would pass them."""
+    rng = random.Random(17)
+    junk = [True, False, 1.0, 2.0, 0, -1, 2**70, None, "1", [1], {}]
+    checked = errors = 0
+    for _ in range(400):
+        n, d = rng.randint(1, 4), rng.randint(1, 12)
+        raw = [
+            [sorted(rng.sample(range(1, d + 1), rng.randint(1, d))) for _ in range(n)]
+            for _ in range(rng.randint(0, 12))
+        ]
+        raw += raw[: len(raw) // 3]  # repeated types
+        if raw and rng.random() < 0.7:
+            entry = rng.randrange(len(raw))
+            spoil = rng.randrange(4)
+            if spoil == 0:  # one element: junk, d + 1, or a duplicate
+                coord = raw[entry][rng.randrange(n)]
+                coord.insert(rng.randint(0, len(coord)), rng.choice(junk + [d + 1, coord[0]]))
+            elif spoil == 1:  # one coordinate: empty or not a list
+                raw[entry][rng.randrange(n)] = rng.choice([[], 1, "12", None, {}])
+            elif spoil == 2:  # one coordinate too many or too few
+                raw[entry] = raw[entry] + [[1]] if rng.random() < 0.5 else raw[entry][1:]
+            else:  # the whole type
+                raw[entry] = rng.choice([[], 1, "x", None, {}, [[]]])
+        obj = {"n": n, "d": d, "types": raw}
+        expected = _parsed_type_by_type(obj)
+        assert _parsed(obj) == expected, obj
+        checked += 1
+        errors += isinstance(expected, tuple)
+    assert checked == 400 and 100 < errors < 300
+
+
+@pytest.mark.parametrize(
+    "types, message",
+    [
+        ([[[1], [True]]], "element True at position 2 is out of range"),
+        ([[[1], [False]]], "element False at position 2 is out of range"),
+        ([[[1], [1.0]]], "element 1.0 at position 2 is out of range"),
+        ([[[1], [2, 0]]], "element 0 at position 2 is out of range"),
+        ([[[1], [4]]], "element 4 at position 2 is out of range"),
+        ([[[1], []]], "coordinate 2 is empty"),
+        ([[[1], 1]], "coordinate 2 is not an array"),
+        ([[]], "a type is a nonempty array of coordinate arrays"),
+        ([[[1], [1], [1]]], "type (1,1,1) has 3 coordinates, expected 2"),
+        ([[[4], []]], "coordinate 2 is empty"),  # shape before elements
+        ([[[4], [1], [1]]], "element 4 at position 1 is out of range"),  # elements before count
+    ],
+)
+def test_typeset_parse_errors_after_valid_types(types, message):
+    """The same error whether or not the coordinates were met valid before."""
+    for before in ([], [[[1], [1]], [[1, 2], [2]], [[3], [1]]]):
+        with pytest.raises((ValueError, TropomError)) as exc:
+            TomTypeSet.from_obj({"n": 2, "d": 3, "types": before + types})
+        assert str(exc.value) == message
+
+
+def test_typeset_parse_accepts_repeats():
+    once = TomTypeSet.from_obj({"n": 2, "d": 3, "types": [[[1], [2, 3]], [[2], [1]]]})
+    again = TomTypeSet.from_obj(
+        {"n": 2, "d": 3, "types": [[[2, 2], [1]], [[1, 1], [3, 2, 3]], [[2], [1]]]}
+    )
+    assert again == once and len(again) == 2
+    with pytest.raises(ValueError, match="^types must be an array$"):
+        TomTypeSet.from_obj({"n": 2, "d": 3, "types": {"a": [[1], [1]]}})
+
+
+def test_typeset_equality_and_hash_read_the_rows():
+    m = prism_tom()
+    parsed = TomTypeSet.from_obj(m.to_obj())
+    assert parsed._types is None  # no Type built yet
+    assert parsed == m and hash(parsed) == hash(m)
+    assert parsed._types is None
+    assert parsed != TomTypeSet(m.n, m.d, m.types[1:])
+    assert TomTypeSet(2, 3, ()) != TomTypeSet(3, 2, ()) != TomTypeSet(2, 2, ())
+    assert parsed.types == m.types and parsed._types is not None
+    with pytest.raises(AttributeError):
+        parsed.rows = m.rows
+
+
 def test_transpose_flips_incidences():
     t = transpose(T(3, "123", "1"))
     assert t == SemiType.from_sets(3, 2, [[1, 2], [1], [1]])
@@ -229,6 +334,22 @@ def test_dual_is_the_reduced_transpose_of_the_completion():
     for m in cases:
         expected = reduction((transpose(s) for s in completion(m)), n=m.d, d=m.n)
         assert dual(m) == expected, m
+
+
+def test_dual_in_small_blocks_matches_one_block(monkeypatch):
+    """Many blocks of position sets, merged as they come, give the rows of
+    one block."""
+    rng = random.Random(11)
+    cases = [prism_tom(), TomTypeSet(4, 3, ())]
+    for n, d in [(2, 3), (3, 3), (4, 2), (3, 4)]:
+        cases.append(arrangement_tom(random_arrangement(n, d, rng, bound=2)))
+    for m in cases:
+        whole = dual(m)
+        for budget in (1, 7, 3 * m.d * len(m)):
+            monkeypatch.setattr(axioms, "_PAIR_BUDGET", budget)
+            assert dual(m) == whole
+            assert np.array_equal(dual(m).rows, whole.rows)
+        monkeypatch.undo()
 
 
 def test_dual_is_an_involution_on_the_prism():

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from tropom import cli, subdivision
+from tropom import TomTypeSet, Type, cli, subdivision
 from tropom.cli import run
 from helpers import T, prism_cells, prism_tom
 
@@ -77,18 +77,26 @@ def test_writer_matches_json_on_edge_cases(obj, capsys):
 
 
 def _run_recorded(monkeypatch, capsys, argv, stdin_text=""):
-    """Run one command; return its stdout and the objects it emitted."""
+    """Run one command; return its stdout and the objects it emitted: those
+    handed to `_emit`, and the `to_obj()` of each type set handed to the
+    row writer `_emit_types`."""
     seen = []
-    emit = cli._emit
+    emit, emit_types = cli._emit, cli._emit_types
 
     def recording(obj):
         seen.append(obj)
         emit(obj)
 
+    def recording_types(m):
+        seen.append(m.to_obj())
+        emit_types(m)
+
     monkeypatch.setattr(cli, "_emit", recording)
+    monkeypatch.setattr(cli, "_emit_types", recording_types)
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
     run(argv)
     monkeypatch.setattr(cli, "_emit", emit)
+    monkeypatch.setattr(cli, "_emit_types", emit_types)
     return capsys.readouterr().out, seen
 
 
@@ -161,3 +169,78 @@ def test_census_converts_each_cell_once(monkeypatch, capsys):
     assert seen[0]["triangulations"] == want
     assert out == json.dumps(seen[0], indent=2) + "\n"
     assert len(calls) == len(set(calls)) == len({c for t in tris for c in t.cells})
+
+
+def _type_sets():
+    """Sets at the edges of the row writer: two-digit directions, d = 64
+    (bit 63 set), n = 1, no type at all, and masks repeated across
+    positions and types."""
+    rng = random.Random(23)
+    sets = [TomTypeSet(2, 3, ()), TomTypeSet(1, 1, ()), prism_tom()]
+    for n, d, k in [(2, 10, 30), (3, 12, 40), (1, 64, 20), (4, 64, 25), (1, 3, 7), (5, 2, 20)]:
+        masks = [(1 << d) - 1, 1 << (d - 1), 1]
+        masks += [rng.randint(1, (1 << d) - 1) for _ in range(12)]
+        sets.append(TomTypeSet(n, d, tuple(
+            Type(n, d, tuple(rng.choice(masks) for _ in range(n))) for _ in range(k)
+        )))
+    same = [Type(3, 3, (m, m, m)) for m in range(1, 8)] + [Type(3, 3, (5, 3, 5))]
+    return sets + [TomTypeSet(3, 3, tuple(same))]
+
+
+@pytest.mark.parametrize("m", _type_sets(), ids=lambda m: f"n={m.n},d={m.d},k={len(m)}")
+def test_row_writer_matches_json(m, capsys):
+    cli._emit_types(m)
+    assert capsys.readouterr().out == json.dumps(m.to_obj(), indent=2) + "\n"
+    parsed = TomTypeSet.from_obj(m.to_obj())
+    cli._emit_types(parsed)
+    assert capsys.readouterr().out == json.dumps(m.to_obj(), indent=2) + "\n"
+    assert parsed._types is None  # printed from the rows alone
+
+
+def _type_set_commands():
+    tom = json.dumps(prism_tom().to_obj())
+    wide = TomTypeSet.from_types(  # a (10, 3) set: its dual has ten directions
+        Type(10, 3, tuple((k >> i) % 7 + 1 for i in range(10))) for k in range(40)
+    )
+    tens = json.dumps(wide.to_obj())
+    topes = prism_tom().to_obj()
+    topes["types"] = [t for t in topes["types"] if all(len(c) == 1 for c in t)]
+    topes = json.dumps(topes)
+    arrangement = json.dumps(
+        {"n": 2, "d": 3, "apexes": [["0", "0", "0"], ["-2", "0", "-1"]]}
+    )
+    commands = [
+        (["tom", "from-arrangement"], arrangement),
+        (["tom", "dual"], tom),
+        (["tom", "dual"], tens),
+        (["tom", "topes"], tom),
+        (["tom", "vertices"], tom),
+        (["tom", "reconstruct-topes"], topes),
+        (["tom", "closure-vertices"], tom),
+        (["tom", "delete", "--i", "1"], tom),
+        (["tom", "delete", "--i", "4"], tens),
+        (["tom", "contract", "--j", "3"], tom),
+        (["tom", "contract", "--j", "2"], json.dumps({"n": 1, "d": 2, "types": [[[2]]]})),
+        (["subdiv", "to-tom"], json.dumps(prism_cells().to_obj())),
+    ]
+    return [
+        pytest.param(argv, stdin_text, id=f"{' '.join(argv)}#{k}")
+        for k, (argv, stdin_text) in enumerate(commands)
+    ]
+
+
+@pytest.mark.parametrize("argv, stdin_text", _type_set_commands())
+def test_type_sets_print_through_the_row_writer(argv, stdin_text, monkeypatch, capsys):
+    printed = []
+    emit_types = cli._emit_types
+
+    def recording(m):
+        printed.append(m)
+        emit_types(m)
+
+    monkeypatch.setattr(cli, "_emit", None)  # any other writer would fail
+    monkeypatch.setattr(cli, "_emit_types", recording)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+    assert run(argv) == 0
+    (m,) = printed
+    assert capsys.readouterr().out == json.dumps(m.to_obj(), indent=2) + "\n"
