@@ -402,7 +402,7 @@ def elimination_witnesses(
     M = m.rows
     keep = ((M == A) | (M == B) | (M == A | B)).all(axis=1)
     keep &= M[:, j - 1] == A[j - 1] | B[j - 1]
-    return tuple(m.types[i] for i in np.flatnonzero(keep).tolist())
+    return tuple(Type(m.n, m.d, tuple(row)) for row in M[keep].tolist())
 
 
 def check_boundary(m: TomTypeSet) -> tuple[bool, tuple[int, ...]]:

@@ -37,7 +37,7 @@ from .core import (
     Type,
     elements_of,
 )
-from .structure import direction_components
+from .structure import _spans
 from .subdivision import SubgraphCollection, require_triangulation, subgraph_to_type
 
 Axial = tuple[int, int]  # a lattice point (u, v) = (p2, p3)
@@ -88,7 +88,7 @@ def classify_piece(a: Type) -> PuzzlePiece:
         raise NotAFineCellError(f"pieces need d=3, got d={a.d}")
     if not cayley_cell(a).is_fine:
         raise NotAFineCellError(f"{a} is not fine")
-    if len(direction_components(a)) != 1:
+    if not _spans(a.coords, a.d):
         raise NotAFineCellError(f"{a} is not connected")
     triples = [i for i, m in enumerate(a.coords, start=1) if m.bit_count() == 3]
     doubles = [i for i, m in enumerate(a.coords, start=1) if m.bit_count() == 2]
@@ -116,13 +116,13 @@ class TransitionMove:
     candidates: tuple[Type, ...]
 
 
-def _with_row(a: Type, row: int, mask: int) -> Type:
-    coords = a.coords[: row - 1] + (mask,) + a.coords[row:]
-    return Type(a.n, a.d, coords)
+def _with_row(coords: tuple[int, ...], row: int, mask: int) -> tuple[int, ...]:
+    return coords[: row - 1] + (mask,) + coords[row:]
 
 
-def transitions(a: Type) -> tuple[TransitionMove, ...]:
-    """All single-direction sheds from a fine d=3 cell and their landings.
+def _landings(a: Type) -> list[tuple[int, int, list[tuple[int, ...]]]]:
+    """(position, numeral, landings) for every single-direction shed from a
+    fine d=3 cell, the landings as coordinate tuples in increasing order.
 
     Shedding from a triangle, or the unshared direction of a rhombus
     segment, hands the direction to a coordinate currently pinned to it.
@@ -132,16 +132,14 @@ def transitions(a: Type) -> tuple[TransitionMove, ...]:
     piece = classify_piece(a)
     shared_mask = 0
     if piece.kind.startswith("rhombus"):
-        shared_mask = (
-            a.coords[piece.positions[0] - 1] & a.coords[piece.positions[1] - 1]
-        )
+        shared_mask = a.coords[piece.positions[0] - 1] & a.coords[piece.positions[1] - 1]
     moves = []
     for p, mask in enumerate(a.coords, start=1):
         if mask.bit_count() < 2:
             continue
         for u in elements_of(mask):
             ub = 1 << (u - 1)
-            after = _with_row(a, p, mask & ~ub)
+            after = _with_row(a.coords, p, mask & ~ub)
             cands = []
             if mask.bit_count() == 3 or ub != shared_mask:
                 for q, qm in enumerate(a.coords, start=1):
@@ -159,9 +157,16 @@ def transitions(a: Type) -> tuple[TransitionMove, ...]:
                         cands.append(_with_row(after, q, 0b111))
                     elif qm.bit_count() == 1 and qm != wb:
                         cands.append(_with_row(after, q, qm | wb))
-            cands.sort(key=lambda t: t.coords)
-            moves.append(TransitionMove(p, u, tuple(cands)))
-    return tuple(moves)
+            moves.append((p, u, sorted(cands)))
+    return moves
+
+
+def transitions(a: Type) -> tuple[TransitionMove, ...]:
+    """All single-direction sheds from a fine d=3 cell and their landings."""
+    return tuple(
+        TransitionMove(p, u, tuple(Type(a.n, a.d, c) for c in cands))
+        for p, u, cands in _landings(a)
+    )
 
 
 @dataclass(frozen=True)
@@ -192,11 +197,7 @@ def verify_transition_rules(c: SubgraphCollection) -> TransitionReport:
         raise ValueError(f"transition rules need d=3, got d={c.d}")
     require_triangulation(c)
     types = [subgraph_to_type(cell) for cell in c.cells]
-    move_maps = []
-    for t in types:
-        move_maps.append(
-            {(mv.position, mv.numeral): mv.candidates for mv in transitions(t)}
-        )
+    move_maps = [{(p, u): cands for p, u, cands in _landings(t)} for t in types]
     pairs = 0
     violations = []
     for (ia, ca), (ib, cb) in itertools.combinations(enumerate(c.cells), 2):
@@ -209,7 +210,7 @@ def verify_transition_rules(c: SubgraphCollection) -> TransitionReport:
         (q, x) = next(iter(added))
         fwd = move_maps[ia].get((p, u), ())
         back = move_maps[ib].get((q, x), ())
-        if types[ib] not in fwd or types[ia] not in back:
+        if types[ib].coords not in fwd or types[ia].coords not in back:
             violations.append((ia + 1, ib + 1))
     return TransitionReport(
         cell_count=len(c.cells),

@@ -173,7 +173,7 @@ def _eliminate(args: argparse.Namespace) -> int:
     m = _typeset(args)
     if not 1 <= args.a <= len(m) or not 1 <= args.b <= len(m):
         raise ValueError(f"type indices must lie in 1..{len(m)} (canonical order)")
-    a, b = m.types[args.a - 1], m.types[args.b - 1]
+    a, b = (core.Type(m.n, m.d, tuple(m.rows[i - 1].tolist())) for i in (args.a, args.b))
     found = axioms.elimination_witnesses(m, a, b, args.pos)
     if args.all:
         _emit({"witnesses": [t.to_obj() for t in found]})

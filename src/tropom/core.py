@@ -20,6 +20,7 @@ with each nonempty S, less the rows with an empty column.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TypeVar
 
@@ -164,9 +165,13 @@ def _coords_str(coords: Iterable[int], d: int) -> str:
     return "(" + ",".join(_coord_str(m, d) for m in coords) + ")"
 
 
-def _exactly(items: Iterable[object], kind: type) -> bool:
-    """Whether every item is exactly of the kind (no bool for int)."""
-    return set(map(type, items)) <= {kind}
+def _count_text(count: int) -> str:
+    """A count for a refusal: exact up to 20 digits, else about 10^k, k from
+    the bit length, as str() of a huge int is slow and refused past 4300 digits."""
+    if count < 10**20:
+        return str(count)
+    shift = count.bit_length() - 64
+    return f"about 10^{math.floor(math.log10(count >> shift) + shift * math.log10(2))}"
 
 
 def _read_coords(obj: object, d: int, allow_empty: bool, what: str) -> list[int]:
@@ -423,25 +428,14 @@ class TomTypeSet:
     def from_obj(cls, obj: object) -> "TomTypeSet":
         """Read {"n", "d", "types"} straight into mask rows, checking each
         type as ``Type.from_obj`` does, in order, so the first bad type
-        raises the same error.  Each distinct coordinate is checked once: a
-        type whose coordinates are all known valid takes their masks.  A
-        known coordinate is found by equality, and True == 1.0 == 1, so the
-        memo is used only when every type and coordinate is a list and
-        every element an int."""
+        raises the same error."""
         n, d, raw = read_shaped(obj, "a type set", "types")
         _validate_dims(n, d)
         if not isinstance(raw, list):
             raise ValueError("types must be an array")
-        flat = list(itertools.chain.from_iterable(raw)) if _exactly(raw, list) else [0]
-        exact = _exactly(flat, list) and _exactly(itertools.chain.from_iterable(flat), int)
-        known: dict[tuple, int] = {}  # a valid coordinate's elements -> its mask
         rows = []
         for entry in raw:
-            coords = list(map(tuple, entry)) if exact else []
-            row = list(map(known.get, coords))
-            if not row or None in row:
-                row = _read_coords(entry, d, False, "type")
-                known.update(zip(coords, row))
+            row = _read_coords(entry, d, False, "type")
             if len(row) != n:
                 raise ValueError(
                     f"type {_coords_str(row, d)} has {len(row)} coordinates, expected {n}"
@@ -529,7 +523,8 @@ def completion(m: TomTypeSet) -> frozenset[SemiType]:
     """All semitypes obtained from members of m by emptying some coordinates."""
     if len(m) << m.n > _COMPLETION_CAP:
         raise SearchSpaceTooLargeError(
-            f"completion lists {len(m) << m.n} semitypes, over the cap {_COMPLETION_CAP}"
+            f"completion lists {_count_text(len(m) << m.n)} semitypes,"
+            f" over the cap {_COMPLETION_CAP}"
         )
     return frozenset(
         SemiType(m.n, m.d, tuple(c if k else 0 for c, k in zip(t.coords, keep)))
@@ -562,7 +557,7 @@ def dual(m: TomTypeSet) -> TomTypeSet:
     cells = len(m) * ((1 << m.n) - 1) * m.d
     if cells > _DUAL_CAP:  # so n <= 26 unless the set is empty
         raise SearchSpaceTooLargeError(
-            f"dual builds {cells} cells, over the cap {_DUAL_CAP}"
+            f"dual builds {_count_text(cells)} cells, over the cap {_DUAL_CAP}"
         )
     transposed = _transpose_rows(m.rows, m.d)
     found = [_row_keys(transposed[:0])]

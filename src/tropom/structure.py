@@ -3,13 +3,14 @@ partial order with witnesses, refinement closures, reconstruction from
 topes, and the two minor operations (deletion and contraction).
 
 ``_components`` is the one connectivity routine: it gives the direction
-components of a type, the classes of a refinement witness, and, in
-``subdivision``, whether a cell spans and whether a cut is a bond."""
+components of a type, the classes of a refinement witness, the one vertex
+test ``_spans`` and, in ``subdivision``, whether a cut is a bond.
+``_singletons`` is the one tope test; both read rows, not Types."""
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,22 +63,33 @@ def dimension(a: Type) -> int:
     return len(direction_components(a)) - 1
 
 
+def _spans(row: Sequence[int], d: int) -> bool:
+    """True when a coordinate row spans K_{n,d}, as a vertex type does: no
+    coordinate is empty and the coordinates join the d directions into one."""
+    return all(row) and len(_components(row, d)) == 1
+
+
+def _singletons(rows: np.ndarray) -> np.ndarray:
+    """Per row of a (..., n) uint64 array of types: is it a tope."""
+    return (rows & (rows - np.uint64(1)) == 0).all(axis=-1)
+
+
 def is_tope(a: Type) -> bool:
     """True when every coordinate is a singleton."""
-    return all(m.bit_count() == 1 for m in a.coords)
+    return bool(_singletons(np.array(a.coords, dtype=np.uint64)))
 
 
 def is_vertex(a: Type) -> bool:
     """True when the type is zero-dimensional (one direction component)."""
-    return dimension(a) == 0
+    return _spans(a.coords, a.d)
 
 
 def topes(m: TomTypeSet) -> frozenset[Type]:
-    return frozenset(t for t in m if is_tope(t))
+    return frozenset(Type(m.n, m.d, tuple(r)) for r in m.rows[_singletons(m.rows)].tolist())
 
 
 def vertices(m: TomTypeSet) -> frozenset[Type]:
-    return frozenset(t for t in m if is_vertex(t))
+    return frozenset(Type(m.n, m.d, tuple(r)) for r in m.rows.tolist() if _spans(r, m.d))
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +194,9 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
     a candidate with any bit set is dropped.
     """
     n, d = tope_set.n, tope_set.d
-    rows = tope_set.rows
-    wide = np.flatnonzero((rows & (rows - np.uint64(1)) != 0).any(axis=1))
+    wide = np.flatnonzero(~_singletons(tope_set.rows))
     if len(wide):
-        raise ValueError(f"not a tope: {tope_set.types[wide[0]]}")
+        raise ValueError(f"not a tope: {Type(n, d, tuple(tope_set.rows[wide[0]].tolist()))}")
     tables = _latest(d)
     minors = [tope_set]
     while minors[0].n > 1:

@@ -20,7 +20,7 @@ components in the cut's complement), keeping only one-directional cuts
 rights) — the cuts that actually support a face of the product polytope.
 
 Both (1) and (3) read the cells' left rows as types: a cell spans when its
-rows are nonempty and form a zero-dimensional type, and two cells have an
+rows pass the vertex test ``structure._spans``, and two cells have an
 alternating cycle when ``axioms._bad_cycles`` flags their rows, the cells'
 rows sliced once.  The census asks it for every tree against every tree."""
 
@@ -46,12 +46,13 @@ from .core import (
     SearchSpaceTooLargeError,
     TomTypeSet,
     Type,
+    _count_text,
     _nonempty_submasks,
     _validate_dims,
     elements_of,
     read_shaped,
 )
-from .structure import _components, vertices
+from .structure import _components, _spans, vertices
 
 # Spanning-tree budget for the triangulation census.  1000 admits every
 # shape that finishes in seconds; the first shapes past it ((4,4), (3,5))
@@ -187,14 +188,6 @@ class SubgraphCollection:
 # graph helpers (vertices 0..n-1 on the left, n..n+d-1 on the right)
 
 
-def _spans(cell: BipartiteSubgraph) -> bool:
-    """True when the cell covers and connects all of K_{n,d}: every left row
-    is nonempty and the rows join the directions into one component, so the
-    type they form is zero-dimensional."""
-    rows = cell.left_masks()
-    return all(rows) and len(_components(rows, cell.d)) == 1
-
-
 def _alternating_cycle(
     ta: frozenset[Edge], tb: frozenset[Edge], n: int, d: int
 ) -> tuple[Edge, ...] | None:
@@ -304,7 +297,7 @@ def _facet_candidates_general(cell: BipartiteSubgraph) -> list[frozenset[Edge]]:
     bipartitions = (1 << (n + d - 1)) - 1
     if bipartitions > _BIPARTITION_CAP:
         raise SearchSpaceTooLargeError(
-            f"a K_({n},{d}) cell has {bipartitions} vertex bipartitions,"
+            f"a K_({n},{d}) cell has {_count_text(bipartitions)} vertex bipartitions,"
             f" over the cap of {_BIPARTITION_CAP}"
         )
     rows = cell.left_masks()
@@ -357,7 +350,7 @@ def check_subdivision(
 
     spanning_viol: list[tuple[int, str]] = []
     for idx, cell in enumerate(cells, start=1):
-        if not _spans(cell):
+        if not _spans(cell.left_masks(), d):
             spanning_viol.append((idx, "does not span (cover + connect) K_{n,d}"))
         elif triangulation and len(cell.edges) != n + d - 1:
             spanning_viol.append(
@@ -410,9 +403,7 @@ def tom_to_subdivision(m: TomTypeSet) -> SubgraphCollection:
     verts = vertices(m)
     if not verts:
         raise ValueError("the type set has no zero-dimensional types")
-    return SubgraphCollection(
-        m.n, m.d, tuple(type_to_subgraph(v) for v in verts)
-    )
+    return SubgraphCollection(m.n, m.d, tuple(map(type_to_subgraph, verts)))
 
 
 def require_triangulation(c: SubgraphCollection) -> None:
@@ -446,7 +437,8 @@ def _all_spanning_trees(n: int, d: int) -> list[BipartiteSubgraph]:
         BipartiteSubgraph(n, d, frozenset(combo))
         for combo in itertools.combinations(edges_all, n + d - 1)
     )
-    return sorted(filter(_spans, cells), key=BipartiteSubgraph.edge_list)
+    spanning = (cell for cell in cells if _spans(cell.left_masks(), d))
+    return sorted(spanning, key=BipartiteSubgraph.edge_list)
 
 
 def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
@@ -459,9 +451,9 @@ def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    if n ** (d - 1) * d ** (n - 1) > _ENUM_CAP:
+    if (count := n ** (d - 1) * d ** (n - 1)) > _ENUM_CAP:
         raise SearchSpaceTooLargeError(
-            f"K_({n},{d}) has {n ** (d - 1) * d ** (n - 1)} spanning trees,"
+            f"K_({n},{d}) has {_count_text(count)} spanning trees,"
             f" over the cap of {_ENUM_CAP}"
         )
     trees = _all_spanning_trees(n, d)

@@ -320,6 +320,22 @@ def test_general_mode_check_refuses_too_many_bipartitions(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,text",
+    [
+        (["subdiv", "enumerate", "--n", "3000", "--d", "64"], ""),
+        (["tom", "dual"], json.dumps({"n": 15000, "d": 2, "types": [[[1]] * 15000, [[2]] * 15000]})),
+        (["subdiv", "check"], json.dumps(
+            {"n": 1000, "d": 3, "cells": [[[i, j] for i in range(1, 1001) for j in (1, 2, 3)]]}
+        )),
+    ],
+)
+def test_refusals_of_huge_counts_stay_one_short_line(monkeypatch, capsys, argv, text):
+    code, out, err = invoke(monkeypatch, capsys, argv, text)
+    assert (code, out) == (2, "")
+    assert "over the cap" in err and err.count("\n") == 1 and len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["tom", "check"],
@@ -406,15 +422,15 @@ def test_repeated_elements_and_types_are_accepted(monkeypatch, capsys):
 
 
 def _count_types(monkeypatch) -> list:
-    """Count every Type built from now on."""
+    """Count every Type and SemiType built from now on."""
     built = []
-    post_init = core.Type.__post_init__
+    post_init = core.SemiType.__post_init__
 
     def counted(self):
         built.append(self)
         post_init(self)
 
-    monkeypatch.setattr(core.Type, "__post_init__", counted)
+    monkeypatch.setattr(core.SemiType, "__post_init__", counted)
     return built
 
 
@@ -429,6 +445,34 @@ def test_valid_checks_and_conversions_build_no_type(monkeypatch, capsys):
         assert (code, json.loads(out)["ok"]) == (0, True)
     assert invoke(monkeypatch, capsys, ["tom", "check"], PRISM_JSON)[0] == 0
     assert built == []
+
+
+def test_steps_build_types_for_their_results_only(monkeypatch, capsys):
+    """The Types each step builds, on the first seed-7 sample of the (4,3)
+    census and on the seed-7 (3,5) arrangement: none for to-tom and check,
+    at most one a cell for the steps that print or read cells, and at most
+    one a printed tope for tom topes."""
+    tris = subdivision.enumerate_triangulations(4, 3)
+    tri = tris[random.Random(7).sample(range(len(tris)), 200)[0]]
+    arr = random_generic_arrangement(3, 5, seed=7)
+    built = _count_types(monkeypatch)
+
+    def step(argv, text):
+        built.clear()
+        code, out, _ = invoke(monkeypatch, capsys, argv, text)
+        assert code == 0, argv
+        return out, len(built)
+
+    tom, count = step(["subdiv", "to-tom"], json.dumps(tri.to_obj()))
+    assert count == 0
+    assert step(["tom", "check"], tom)[1] == 0
+    cells, count = step(["subdiv", "from-tom"], tom)
+    assert count <= len(tri) == 10
+    assert step(["cayley", "verify-transitions"], cells)[1] <= 10
+    assert step(["cayley", "render"], cells)[1] <= 10
+    tom = step(["tom", "from-arrangement"], json.dumps(arr.to_obj()))[0]
+    topes, count = step(["tom", "topes"], tom)
+    assert count <= len(json.loads(topes)["types"]) < len(json.loads(tom)["types"])
 
 
 def test_broken_set_reports_keep_their_bytes(monkeypatch, capsys):

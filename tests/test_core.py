@@ -7,12 +7,13 @@ import random
 import numpy as np
 import pytest
 
-from tropom import axioms
+from tropom import axioms, core
 from tropom import (
     Arrangement,
     EmptyCoordinateError,
     OrderedPartition,
     OutOfRangeError,
+    SearchSpaceTooLargeError,
     SemiType,
     SubgraphCollection,
     TomTypeSet,
@@ -301,6 +302,19 @@ def test_completion_adds_every_erasure():
             )
     assert comp == expected
     assert len(comp) == 32
+
+
+def test_refused_counts_print_exactly_up_to_twenty_digits():
+    assert core._count_text(10**20 - 1) == "99999999999999999999"
+    assert core._count_text(10**20) == "about 10^20"
+    assert core._count_text(3 * 10**300) == "about 10^300"
+    # 2^15000 has 4516 digits, past what str() of an int takes
+    wide = TomTypeSet.from_obj({"n": 15000, "d": 2, "types": [[[1]] * 15000]})
+    with pytest.raises(SearchSpaceTooLargeError) as refused:
+        completion(wide)
+    assert str(refused.value) == (
+        f"completion lists about 10^4515 semitypes, over the cap {core._COMPLETION_CAP}"
+    )
 
 
 def test_reduction_inverts_completion():

@@ -11,6 +11,7 @@ import pytest
 from tropom import (
     BipartiteSubgraph,
     SearchSpaceTooLargeError,
+    SemiType,
     TomTypeSet,
     Type,
     arrangement_tom,
@@ -26,6 +27,7 @@ from tropom import (
     tom_to_subdivision,
     total_refinements,
 )
+import tropom.structure as structure
 import tropom.subdivision as subdivision
 import oracles
 
@@ -62,6 +64,24 @@ def test_direction_components_match_breadth_first_search():
     for _ in range(3000):
         a = _random_type(rng, rng.randint(1, 5), rng.randint(1, 7))
         assert direction_components(a) == _components_bfs(a)
+    # the vertex test on rows that may hold empty coordinates: a row spans
+    # when none is empty and the search finds one component
+    rng = random.Random(79)
+    seen = set()
+    for _ in range(3000):
+        n = rng.choice([1, rng.randint(2, 5)])
+        d = rng.choice([1, rng.randint(2, 7), 64])
+        row = tuple(
+            rng.choice([0, 1 << rng.randrange(d), rng.randint(1, (1 << d) - 1), (1 << d) - 1])
+            for _ in range(n)
+        )
+        want = all(row) and len(_components_bfs(SemiType(n, d, row))) == 1
+        assert structure._spans(row, d) == want, (row, d)
+        cases = {"n=1": n == 1, "d=1": d == 1, "d=64": d == 64, "empty": 0 in row}
+        seen.update((case, want) for case, hit in cases.items() if hit)
+    # every case meets rows that span and rows that do not, but an empty
+    # coordinate never spans
+    assert seen == {(c, w) for c in cases for w in (False, True)} - {("empty", True)}
 
 
 def test_is_refinement_of_against_every_ordered_partition():

@@ -22,7 +22,7 @@ from tropom import (
     triangulation_types,
     type_to_subgraph,
 )
-from tropom import subdivision
+from tropom import structure, subdivision
 import oracles
 from helpers import T, cells_of, cycle_grid, prism_cells, prism_tom, typeset
 
@@ -256,7 +256,7 @@ def test_spanning_test_matches_breadth_first_search():
         n, d = rng.randint(1, 4), rng.randint(1, 5)
         edges = _random_edges(rng, n, d)
         want = _connected_cover(n, d, edges)
-        assert subdivision._spans(BipartiteSubgraph(n, d, edges)) == want, edges
+        assert structure._spans(BipartiteSubgraph(n, d, edges).left_masks(), d) == want, edges
         spans += want
     assert 300 < spans < 2700
 

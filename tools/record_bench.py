@@ -9,7 +9,9 @@ result line (the last stdout line: correct, attempted, failed and the
 end-to-end metrics) and the details line before it (quartiles, pass and
 sample counts, failure reasons), and writes them with the machine facts the
 details report (Python, numpy, core count, CPU, commit, SHA-256 of
-``src/``).  Standard library only.
+``src/``).  A workload whose result is not correct, or has failed steps, is
+named with its first failure, and no file is written (exit 1).  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ def main() -> int:
             result, details = run_workload(bench["command"], name, bench["run_seconds"])
         except (RuntimeError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        if result["correct"] is not True or result["failed"]:
+            reasons = details.get("failures") or ["the result is not correct"]
+            print(f"error: {name}: {result['failed']} failed steps, first {reasons[0]}",
+                  file=sys.stderr)
             return 1
         record.setdefault("machine", details.pop("machine"))
         record["workloads"][name] = {**result, "details": details}
