@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import SearchSpaceTooLargeError, TomTypeSet, Type, elements_of, read_shaped
+from .core import (
+    SearchSpaceTooLargeError, TomTypeSet, Type, _count_text, elements_of, read_shaped
+)
 from .structure import _components, refinement_closure
 
 # The vertex walk visits C(n+d-2, n-1) cells and prices n*d edges in each:
@@ -271,7 +273,7 @@ def vertex_points(arr: Arrangement) -> dict[Type, Point]:
     count = math.comb(n + d - 2, n - 1)
     if count * n * d > _WALK_CAP:
         raise SearchSpaceTooLargeError(
-            f"({n},{d}) has {count} cells of {n * d} edges each to walk,"
+            f"({n},{d}) has {_count_text(count)} cells of {n * d} edges each to walk,"
             f" over the cap of {_WALK_CAP} edges"
         )
     # in units of the apexes' common denominator every vertex is integral

@@ -170,8 +170,8 @@ def total_refinements(a: Type) -> frozenset[Type]:
     One refinement per linear order on the directions (the partition into
     singletons in that order), deduplicated.
     """
-    rows = np.unique(_latest(a.d)[:, list(a.coords)], axis=0).tolist()
-    return frozenset(Type(a.n, a.d, tuple(1 << j for j in row)) for row in rows)
+    rows = np.uint64(1) << _latest(a.d)[:, list(a.coords)].astype(np.uint64)
+    return frozenset(TomTypeSet._from_rows(a.n, a.d, rows).types)
 
 
 @lru_cache(maxsize=None)

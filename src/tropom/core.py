@@ -363,6 +363,16 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, 8 * rows.shape[-1])))[..., 0]
 
 
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys of a 1-D array, sorted: np.unique without its index,
+    inverse or count outputs, which numpy serves through numpy.ma, imported
+    on first use at 15-20 ms a process."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
 def _key_rows(keys: np.ndarray, n: int) -> np.ndarray:
     """The (len(keys), n) uint64 rows that _row_keys turned into keys."""
     return keys.view(">u8").reshape(-1, n).astype(np.uint64)
@@ -412,7 +422,7 @@ class TomTypeSet:
         """The set of the types whose masks are the rows of a (K, n) uint64
         array, sorted and deduplicated; no Type is built."""
         _validate_dims(n, d)
-        keys = np.unique(_row_keys(rows.reshape(-1, n)))
+        keys = _sorted_distinct(_row_keys(rows.reshape(-1, n)))
         out = cls.__new__(cls)
         out._hold(n, d, _key_rows(keys, n), keys, None)
         return out
@@ -565,10 +575,10 @@ def dual(m: TomTypeSet) -> TomTypeSet:
     for start, stop in _row_blocks((1 << m.n) - 1 if len(m) else 0, len(m) * m.d):
         subsets = np.arange(start + 1, stop + 1, dtype=np.uint64)
         rows = (transposed & subsets[:, None, None]).reshape(-1, m.d)
-        found.append(np.unique(_row_keys(rows[(rows != 0).all(axis=1)])))
+        found.append(_sorted_distinct(_row_keys(rows[(rows != 0).all(axis=1)])))
         held += len(found[-1])
         if held > 2 * len(found[0]):
             # merged once the blocks outgrow the keys found so far
-            found = [np.unique(np.concatenate(found))]
+            found = [_sorted_distinct(np.concatenate(found))]
             held = len(found[0])
     return TomTypeSet._from_rows(m.d, m.n, _key_rows(np.concatenate(found), m.d))

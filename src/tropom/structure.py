@@ -21,6 +21,7 @@ from .core import (
     Type,
     _key_rows,
     _row_keys,
+    _sorted_distinct,
 )
 from . import axioms
 from .axioms import _bad_cycles, _latest, _planes, _refined_blocks, _two_block_parts
@@ -167,9 +168,9 @@ def refinement_closure(seeds: TomTypeSet | Iterable[Type]) -> TomTypeSet:
     while len(frontier):
         found = frontier[:0]
         for *_, refined in _refined_blocks(_key_rows(frontier, n), _two_block_parts(d)):
-            found = np.union1d(found, _row_keys(refined))
+            found = _sorted_distinct(np.concatenate([found, _row_keys(refined)]))
         frontier = np.setdiff1d(found, known, assume_unique=True)
-        known = np.union1d(known, frontier)
+        known = _sorted_distinct(np.concatenate([known, frontier]))
     return TomTypeSet._from_rows(n, d, _key_rows(known, n))
 
 
@@ -188,10 +189,11 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
     grow one coordinate at a time: each level extends the kept prefixes by
     the 2^d - 1 nonempty masks, is refused above _RECONSTRUCT_CAP
     candidates, and is sieved in blocks of axioms._PAIR_BUDGET candidates,
-    first by the refinement along every row of the shared table
-    ``axioms._latest`` (one per linear order, so d <= 8), then by
-    ``axioms._bad_cycles`` against the minor's topes, sliced once a level:
-    a candidate with any bit set is dropped.
+    first by its refinement along every row of the shared table
+    ``axioms._latest`` (one per linear order, so d <= 8), walked through
+    the minors' rank tables to its index among the minor's topes, then by
+    ``axioms._bad_cycles`` against the minor's topes, sliced once a
+    level: a candidate with any bit set is dropped.
     """
     n, d = tope_set.n, tope_set.d
     wide = np.flatnonzero(~_singletons(tope_set.rows))
@@ -203,21 +205,37 @@ def reconstruct_from_topes(tope_set: TomTypeSet) -> TomTypeSet:
         minors.insert(0, delete(minors[0], minors[0].n))
     masks = np.arange(1, 1 << d, dtype=np.uint64)
     kept = np.zeros((1, 0), dtype=np.uint64)
+    ranks = []
     for minor in minors:
         wide = len(kept) * len(masks)
         if wide > _RECONSTRUCT_CAP:
             raise SearchSpaceTooLargeError(f"{wide} candidates exceed {_RECONSTRUCT_CAP}")
-        planes = _planes(minor.rows, d)
+        # its rank table: entry r·d + e is the index of the tope whose prefix
+        # is the r-th tope of the minor before and whose last direction is e
+        # (tables[0] of a singleton), else len(minor), as in the last block,
+        # which an absent prefix reads
+        rows, new = minor.rows, np.ones(len(minor), dtype=bool)
+        new[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+        ranks.append(np.full((np.count_nonzero(new) + 1) * d, len(rows)))
+        ranks[-1][(np.cumsum(new) - 1) * d + tables[0, rows[:, -1]]] = np.arange(len(rows))
+        planes = _planes(rows, d)
         blocks = [np.zeros((0, minor.n), dtype=np.uint64)]
         for start, stop in axioms._row_blocks(wide, 1):
-            q = np.arange(start, stop)
-            cand = np.column_stack([kept[q // len(masks)], masks[q % len(masks)]])
+            prefix, last = np.divmod(np.arange(start, stop), len(masks))
             done = 0
-            while len(cand) and done < len(tables):
-                # groups of orders keep cand.size x orders within the budget
-                orders = tables[done : done + max(1, axioms._PAIR_BUDGET // cand.size)]
-                cand = cand[minor.has_rows(np.uint64(1) << orders[:, cand]).all(axis=0)]
+            while len(prefix) and done < len(tables):
+                # groups of orders keep candidates x orders within the budget
+                orders = tables[done : done + max(1, axioms._PAIR_BUDGET // len(prefix))]
+                # each prefix's rank walked once, then each candidate's last step
+                low = prefix[0]
+                at = np.zeros((len(orders), prefix[-1] + 1 - low), dtype=np.intp)
+                for table, column in zip(ranks, kept[low : prefix[-1] + 1].T):
+                    at = table[at * d + orders[:, column]]
+                at = ranks[-1][at[:, prefix - low] * d + orders[:, masks[last]]]
+                hit = (at < len(minor)).all(axis=0)
+                prefix, last = prefix[hit], last[hit]
                 done += len(orders)
+            cand = np.column_stack([kept[prefix], masks[last]])
             blocks += [
                 cand[first : first + len(bad)][~bad.any(axis=1)]
                 for first, bad in _bad_cycles(cand, planes)

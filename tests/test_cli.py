@@ -10,6 +10,7 @@ import random
 import pytest
 
 from tropom import (
+    arrangement,
     arrangement_tom,
     axioms,
     cli,
@@ -21,7 +22,7 @@ from tropom import (
     vertices,
 )
 from tropom.cli import run
-from helpers import T, prism_cells, prism_tom
+from helpers import T, prism_arrangement, prism_cells, prism_tom
 
 PRISM_JSON = json.dumps(prism_tom().to_obj())
 CELLS_JSON = json.dumps(prism_cells().to_obj())
@@ -190,6 +191,22 @@ def test_from_arrangement_refuses_too_many_vertex_candidates(monkeypatch, capsys
     assert code == 2
     assert not out
     assert "over the cap" in err
+
+
+def test_vertex_walk_refusal_prints_a_huge_count_short(monkeypatch, capsys):
+    # C(78, 39) cells, about 2.6 * 10^22; distinct apexes, so no warning
+    arr = json.dumps({"n": 40, "d": 40, "apexes": [[i * j for j in range(40)] for i in range(40)]})
+    code, out, err = invoke(monkeypatch, capsys, ["tom", "from-arrangement"], arr)
+    assert (code, out) == (2, "")
+    assert "has about 10^22 cells" in err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    # a count under 20 digits keeps its exact message
+    monkeypatch.setattr(arrangement, "_WALK_CAP", 17)
+    code, out, err = invoke(
+        monkeypatch, capsys, ["tom", "from-arrangement"], json.dumps(prism_arrangement().to_obj())
+    )
+    assert (code, out) == (2, "")
+    assert "(2,3) has 3 cells of 6 edges each to walk, over the cap of 17 edges" in err
 
 
 @pytest.mark.parametrize("n,d", [(6, 4), (5, 5)])

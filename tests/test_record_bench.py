@@ -60,3 +60,16 @@ def test_passing_runs_are_written(monkeypatch, tmp_path):
     assert (code, files) == (0, ["BENCHMARK.json", "BENCH_99.json"])
     record = json.loads((tmp_path / "BENCH_99.json").read_text())
     assert record["workloads"]["good"]["failed"] == 0
+
+
+def test_the_record_says_whether_samples_wrote_bytecode(monkeypatch, tmp_path):
+    for value, writes in [(None, True), ("", True), ("1", False)]:
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        code, _ = _record(monkeypatch, tmp_path, {"good": (_result(0), [])})
+        record = json.loads((tmp_path / "BENCH_99.json").read_text())
+        assert code == 0
+        assert record["machine"] == {"python": "3", "writes_bytecode": writes}
+        assert "machine" not in record["workloads"]["good"]["details"]

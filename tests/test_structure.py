@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -233,6 +235,78 @@ def test_reconstruct_from_topes_matches_a_naive_full_scan(monkeypatch):
     assert [reconstruct_from_topes(m) for m in cases] == expected
     monkeypatch.setattr(axioms, "_PAIR_BUDGET", 5)
     assert [reconstruct_from_topes(m) for m in cases] == expected
+
+
+def _naive_one_coordinate(tope_set):
+    """_naive_reconstruction for n = 1, where each direction of a candidate
+    comes last in some linear order, so its total refinements are its
+    singletons and no order need be listed."""
+    d = tope_set.d
+    given = {oracles.as_naive(t) for t in tope_set}
+    found = []
+    for mask in range(1, 1 << d):
+        cand = (frozenset(j + 1 for j in range(d) if mask >> j & 1),)
+        if {(frozenset({j}),) for j in cand[0]} <= given and not any(
+            oracles.has_bad_cycle(cand, t) for t in given
+        ):
+            found.append(Type(1, d, (mask,)))
+    return TomTypeSet(1, d, tuple(found))
+
+
+def _singleton_topes(d, directions):
+    return TomTypeSet(1, d, tuple(Type(1, d, (1 << j,)) for j in directions))
+
+
+def test_reconstruct_from_no_topes_is_empty(monkeypatch):
+    cases = [TomTypeSet(n, d, ()) for n, d in [(1, 3), (2, 3), (3, 2), (2, 4)]]
+    expected = [_naive_reconstruction(m) for m in cases]
+    assert all(len(m) == 0 for m in expected)
+    empty_wide = TomTypeSet(1, 8, ())
+    assert len(_naive_one_coordinate(empty_wide)) == 0
+    cases.append(empty_wide)
+    expected.append(empty_wide)
+    assert [reconstruct_from_topes(m) for m in cases] == expected
+    monkeypatch.setattr(axioms, "_PAIR_BUDGET", 5)
+    assert [reconstruct_from_topes(m) for m in cases] == expected
+
+
+def test_reconstruct_one_coordinate_of_eight_directions(monkeypatch):
+    # 255 candidates against all 40,320 orders of _latest(8)
+    whole = _singleton_topes(8, range(8))
+    some = [_singleton_topes(8, dirs) for dirs in [(0, 1, 4), (2,), (1, 3, 5, 6, 7)]]
+    assert len(reconstruct_from_topes(whole)) == 255
+    for m in [whole, *some]:
+        assert reconstruct_from_topes(m) == _naive_one_coordinate(m)
+    # with one order a group, all 255 survivors would take 2·10^6 groups
+    monkeypatch.setattr(axioms, "_PAIR_BUDGET", 5)
+    for m in some[:2]:
+        assert reconstruct_from_topes(m) == _naive_one_coordinate(m)
+
+
+def test_reconstruct_seventy_coordinates_of_two_directions(monkeypatch):
+    """Prefixes of 70 base-2 digits: a packed key of them would overflow."""
+    m = arrangement_tom(random_generic_arrangement(70, 2, seed=3))
+    tope_list = sorted(topes(m), key=lambda t: t.coords)
+    damaged = TomTypeSet(70, 2, tuple(tope_list[:35] + tope_list[36:]))
+    assert reconstruct_from_topes(TomTypeSet(70, 2, tuple(tope_list))) == m
+
+    def digest(result):
+        return hashlib.sha256(json.dumps(result.to_obj()).encode()).hexdigest()
+
+    # 139 types, as the key-search sieve found them; a naive scan of 3^70
+    # candidates is out of reach, so each one found is checked on its own
+    want = "afa04b4bd101ace6b5e4df3c63e8ce3230366b7358d15905f5bbdeb5324ee787"
+    found = reconstruct_from_topes(damaged)
+    assert digest(found) == want
+    given = {oracles.as_naive(t) for t in damaged}
+    for t in found:
+        cand = oracles.as_naive(t)
+        refinements = {tuple(frozenset({max(c)}) for c in cand),
+                       tuple(frozenset({min(c)}) for c in cand)}
+        assert refinements <= given
+        assert not any(oracles.has_bad_cycle(cand, s) for s in given)
+    monkeypatch.setattr(axioms, "_PAIR_BUDGET", 5)
+    assert digest(reconstruct_from_topes(damaged)) == want
 
 
 def test_closure_caps_the_two_block_partitions():

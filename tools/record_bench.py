@@ -9,7 +9,10 @@ result line (the last stdout line: correct, attempted, failed and the
 end-to-end metrics) and the details line before it (quartiles, pass and
 sample counts, failure reasons), and writes them with the machine facts the
 details report (Python, numpy, core count, CPU, commit, SHA-256 of
-``src/``).  A workload whose result is not correct, or has failed steps, is
+``src/``) and whether the sample interpreters could write bytecode
+(``PYTHONDONTWRITEBYTECODE`` unset): compiling every module makes the
+import of ``tropom.cli`` more than twice as slow, which moves ``setup_s``.
+A workload whose result is not correct, or has failed steps, is
 named with its first failure, and no file is written (exit 1).  Standard
 library only.
 """
@@ -59,7 +62,9 @@ def main() -> int:
             print(f"error: {name}: {result['failed']} failed steps, first {reasons[0]}",
                   file=sys.stderr)
             return 1
-        record.setdefault("machine", details.pop("machine"))
+        machine = details.pop("machine")
+        machine["writes_bytecode"] = not os.environ.get("PYTHONDONTWRITEBYTECODE")
+        record.setdefault("machine", machine)
         record["workloads"][name] = {**result, "details": details}
     path = f"BENCH_{args.number}.json"
     with open(path, "w", encoding="utf-8") as fh:
