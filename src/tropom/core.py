@@ -400,15 +400,14 @@ class TomTypeSet:
                 raise TypeError(f"not a Type: {t!r}")
             if (t.n, t.d) != (n, d):
                 raise ValueError(f"type {t} has shape ({t.n},{t.d}), expected ({n},{d})")
-        rows = np.array([t.coords for t in pool], dtype=np.uint64).reshape(-1, n)
-        keys, first = np.unique(_row_keys(rows), return_index=True)
-        self._hold(n, d, rows[first], keys, tuple(pool[i] for i in first.tolist()))
+        self._hold(n, d, np.array([t.coords for t in pool], dtype=np.uint64))
 
-    def _hold(
-        self, n: int, d: int, rows: np.ndarray, keys: np.ndarray, types: tuple | None
-    ) -> None:
+    def _hold(self, n: int, d: int, rows: np.ndarray) -> None:
+        """Hold the rows of a (K, n) uint64 array, sorted and deduplicated."""
+        keys = _sorted_distinct(_row_keys(rows.reshape(-1, n)))
+        rows = _key_rows(keys, n)
         rows.flags.writeable = False
-        for name, value in zip(self.__slots__, (n, d, rows, keys, types)):
+        for name, value in zip(self.__slots__, (n, d, rows, keys, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -422,9 +421,8 @@ class TomTypeSet:
         """The set of the types whose masks are the rows of a (K, n) uint64
         array, sorted and deduplicated; no Type is built."""
         _validate_dims(n, d)
-        keys = _sorted_distinct(_row_keys(rows.reshape(-1, n)))
         out = cls.__new__(cls)
-        out._hold(n, d, _key_rows(keys, n), keys, None)
+        out._hold(n, d, rows)
         return out
 
     @classmethod

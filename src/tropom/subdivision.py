@@ -12,22 +12,21 @@ A collection of cells is a subdivision exactly when
     intersection (orient one cell left-to-right, the other right-to-left:
     no directed cycle with four or more arcs may leave the shared edges).
 
-Triangulation mode takes cell facets to be single-edge removals (every bond
-of a tree is one edge).  General mode enumerates bonds as vertex
-bipartitions with connected sides (``structure._components`` finds two
-components in the cut's complement), keeping only one-directional cuts
-(all crossing edges from one side's left vertices to the other side's
-rights) — the cuts that actually support a face of the product polytope.
-
-Both (1) and (3) read the cells' left rows as types: a cell spans when its
-rows pass the vertex test ``structure._spans``, and two cells have an
-alternating cycle when ``axioms._bad_cycles`` flags their rows, the cells'
-rows sliced once.  The census asks it for every tree against every tree."""
+Each cell keeps its left rows, ``BipartiteSubgraph.rows`` (row i - 1 is
+coordinate i of the cell as a type), and all three tests read them.  A cell
+spans when they pass the vertex test ``structure._spans``.  Interior facets
+are rows too: a cell's rows with one edge's bit cleared in triangulation mode
+(a tree's bonds are its edges), else the complements of the bonds, found by
+``structure._components``, whose crossing edges all run one way.  One
+matcher, ``_facet_holders``, finds the other cells holding each facet, for
+the check and the census.  ``axioms._bad_cycles`` flags the pairs of cells
+with an alternating cycle, on their rows sliced once."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .axioms import (
     _bad_cycles,
     _cycle_failures,
     _planes,
+    _row_blocks,
     _section,
     check_axioms,
 )
@@ -73,11 +73,13 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class BipartiteSubgraph:
-    """A nonempty set of edges (i, j) of K_{n,d}, 1-based on both sides."""
+    """A nonempty set of edges (i, j) of K_{n,d}, 1-based on both sides, and
+    its left rows: ``rows[i - 1]`` masks the right ends of i's edges."""
 
     n: int
     d: int
     edges: frozenset[Edge]
+    rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _sorted: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -85,11 +87,14 @@ class BipartiteSubgraph:
             object.__setattr__(self, "edges", frozenset(self.edges))
         if not self.edges:
             raise ValueError("a cell needs at least one edge")
+        rows = [0] * self.n
         for i, j in self.edges:
             if not 1 <= i <= self.n:
                 raise ValueError(f"left vertex {i} out of range 1..{self.n}")
             if not 1 <= j <= self.d:
                 raise ValueError(f"right vertex {j} out of range 1..{self.d}")
+            rows[i - 1] |= 1 << (j - 1)
+        object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "_sorted", tuple(sorted(self.edges)))
 
     @classmethod
@@ -109,12 +114,6 @@ class BipartiteSubgraph:
     def edge_list(self) -> tuple[Edge, ...]:
         return self._sorted
 
-    def left_masks(self) -> tuple[int, ...]:
-        rows = [0] * self.n
-        for i, j in self.edges:
-            rows[i - 1] |= 1 << (j - 1)
-        return tuple(rows)
-
     def __str__(self) -> str:
         return "{" + ", ".join(f"{i}{j}" if self.d <= 9 and self.n <= 9 else f"({i},{j})"
                                for i, j in self.edge_list()) + "}"
@@ -131,11 +130,10 @@ def type_to_subgraph(a: Type) -> BipartiteSubgraph:
 def subgraph_to_type(g: BipartiteSubgraph) -> Type:
     """Coordinate i collects the right ends of i's edges; every left vertex
     must be covered."""
-    rows = g.left_masks()
-    for i, mask in enumerate(rows, start=1):
+    for i, mask in enumerate(g.rows, start=1):
         if mask == 0:
             raise EmptyLeftVertexError(i)
-    return Type(g.n, g.d, rows)
+    return Type(g.n, g.d, g.rows)
 
 
 @dataclass(frozen=True)
@@ -284,8 +282,8 @@ class SubdivisionReport:
         }
 
 
-def _facet_candidates_general(cell: BipartiteSubgraph) -> list[frozenset[Edge]]:
-    """Bond complements that are one-directional cuts, i.e. candidate faces.
+def _facet_candidates_general(cell: BipartiteSubgraph) -> list[list[int]]:
+    """Bond complements that are one-directional cuts (candidate faces), as rows.
 
     Left vertex 1 stays on side 0; ``right1`` holds the directions and
     ``left1`` the left vertices (bit i - 1 for vertex i) on side 1, with
@@ -300,8 +298,8 @@ def _facet_candidates_general(cell: BipartiteSubgraph) -> list[frozenset[Edge]]:
             f"a K_({n},{d}) cell has {_count_text(bipartitions)} vertex bipartitions,"
             f" over the cap of {_BIPARTITION_CAP}"
         )
-    rows = cell.left_masks()
-    out: list[frozenset[Edge]] = []
+    rows = cell.rows
+    out: list[list[int]] = []
     for right1 in range(1 << d):
         # bit i - 1: left vertex i has an edge into side 1, into side 0
         into1 = sum(1 << i for i, row in enumerate(rows) if row & right1)
@@ -316,26 +314,41 @@ def _facet_candidates_general(cell: BipartiteSubgraph) -> list[frozenset[Edge]]:
             # vertex bits: left vertex i is bit i - 1, direction j is bit n + j - 1
             joins = [1 << i | row << n for i, row in enumerate(kept)]
             if len(_components(joins, n + d)) == 2:
-                out.append(frozenset(
-                    (i, j) for i, row in enumerate(kept, 1) for j in elements_of(row)
-                ))
+                out.append(kept)
     return out
 
 
 def _interior_facets(
-    cell: BipartiteSubgraph, triangulation: bool
-) -> list[frozenset[Edge]]:
-    """The cell's facets that leave no vertex of K_{n,d} isolated: every
-    single-edge removal in triangulation mode, the one-directional bond
-    complements otherwise.  The others lie on the boundary."""
+    cells: Sequence[BipartiteSubgraph], n: int, d: int, triangulation: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells' (k, n) uint64 left rows, and their facets that isolate no
+    vertex as rows, with the index of each one's cell: every edge's bit cleared
+    in triangulation mode, in (cell, i, j) order, else the one-way bond complements."""
+    # the bipartition cap refuses first; d > 64 would overflow the uint64 rows
+    bonds = [] if triangulation else [_facet_candidates_general(cell) for cell in cells]
+    _validate_dims(n, d)
+    rows = np.array([cell.rows for cell in cells], dtype=np.uint64).reshape(-1, n)
     if triangulation:
-        candidates = [cell.edges - {e} for e in cell.edge_list()]
+        bits = np.left_shift(np.uint64(1), np.arange(d, dtype=np.uint64))
+        owner, i, j = np.nonzero(rows[:, :, None] & bits != 0)
+        facets = rows[owner]
+        facets[np.arange(len(owner)), i] &= ~bits[j]
     else:
-        candidates = _facet_candidates_general(cell)
-    return [
-        rest for rest in candidates
-        if len({i for i, _ in rest}) == cell.n and len({j for _, j in rest}) == cell.d
-    ]
+        owner = np.repeat(np.arange(len(cells)), [len(b) for b in bonds])
+        facets = np.array([f for b in bonds for f in b], dtype=np.uint64).reshape(-1, n)
+    covers = np.bitwise_or.reduce(facets, axis=1) == np.uint64((1 << d) - 1)
+    interior = covers & (facets != 0).all(axis=1)
+    return rows, facets[interior], owner[interior]
+
+
+def _facet_holders(facets: np.ndarray, owner: np.ndarray, rows: np.ndarray) -> Iterator[int]:
+    """For each facet, the other cells that hold it (a superset in every left
+    row) as a bitmask over the cells, in blocks of facets within _PAIR_BUDGET."""
+    for start, stop in _row_blocks(len(facets), rows.size):
+        holds = ~(facets[start:stop, None] & ~rows).any(axis=-1)
+        holds[np.arange(stop - start), owner[start:stop]] = False
+        for row in np.packbits(holds, axis=1, bitorder="little"):
+            yield int.from_bytes(row.tobytes(), "little")
 
 
 def check_subdivision(
@@ -350,25 +363,22 @@ def check_subdivision(
 
     spanning_viol: list[tuple[int, str]] = []
     for idx, cell in enumerate(cells, start=1):
-        if not _spans(cell.left_masks(), d):
+        if not _spans(cell.rows, d):
             spanning_viol.append((idx, "does not span (cover + connect) K_{n,d}"))
         elif triangulation and len(cell.edges) != n + d - 1:
             spanning_viol.append(
                 (idx, f"{len(cell.edges)} edges, a spanning tree needs {n + d - 1}")
             )
 
+    rows, facets, owner = _interior_facets(cells, n, d, triangulation)
+    holders = _facet_holders(facets, owner, rows)
+    unmatched = [f for f, others in enumerate(holders) if not others]
     facet_viol: list[tuple[int, tuple[Edge, ...]]] = []
-    facet_total = 0
-    for idx, cell in enumerate(cells, start=1):
-        for rest in _interior_facets(cell, triangulation):
-            if not any(rest <= other.edges for other in cells if other is not cell):
-                facet_total += 1
-                if len(facet_viol) < _MAX_REPORTED_FAILURES:
-                    facet_viol.append((idx, tuple(sorted(rest))))
+    for f in unmatched[:_MAX_REPORTED_FAILURES]:  # named by its cell's edge tuples
+        idx, row = int(owner[f]), facets[f].tolist()
+        kept = (e for e in cells[idx].edge_list() if row[e[0] - 1] >> e[1] - 1 & 1)
+        facet_viol.append((idx + 1, tuple(kept)))
 
-    # the left rows are uint64 masks, which a d beyond 64 overflows
-    _validate_dims(n, d)
-    rows = np.array([cell.left_masks() for cell in cells], dtype=np.uint64)
     pairs, alt_total = _cycle_failures(rows, d, _MAX_REPORTED_FAILURES)
     alt_viol = [
         (x + 1, y + 1, _alternating_cycle(cells[x].edges, cells[y].edges, n, d))
@@ -382,9 +392,9 @@ def check_subdivision(
         triangulation_mode=triangulation,
         spanning_ok=not spanning_viol,
         spanning_violations=tuple(spanning_viol),
-        facet_ok=not facet_total,
+        facet_ok=not unmatched,
         facet_violations=tuple(facet_viol),
-        facet_total=facet_total,
+        facet_total=len(unmatched),
         alternating_ok=not alt_total,
         alternating_violations=tuple(alt_viol),
         alternating_total=alt_total,
@@ -422,7 +432,7 @@ def triangulation_types(c: SubgraphCollection) -> TomTypeSet:
     require_triangulation(c)
     combos: set[tuple[int, ...]] = set()
     for cell in c.cells:
-        combos.update(itertools.product(*map(_nonempty_submasks, cell.left_masks())))
+        combos.update(itertools.product(*map(_nonempty_submasks, cell.rows)))
     return TomTypeSet._from_rows(c.n, c.d, np.array(list(combos), dtype=np.uint64))
 
 
@@ -433,12 +443,9 @@ def triangulation_types(c: SubgraphCollection) -> TomTypeSet:
 def _all_spanning_trees(n: int, d: int) -> list[BipartiteSubgraph]:
     """The spanning cells with n + d - 1 edges, in edge-list order."""
     edges_all = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
-    cells = (
-        BipartiteSubgraph(n, d, frozenset(combo))
-        for combo in itertools.combinations(edges_all, n + d - 1)
-    )
-    spanning = (cell for cell in cells if _spans(cell.left_masks(), d))
-    return sorted(spanning, key=BipartiteSubgraph.edge_list)
+    combos = itertools.combinations(edges_all, n + d - 1)  # in edge-list order
+    cells = (BipartiteSubgraph(n, d, frozenset(combo)) for combo in combos)
+    return [cell for cell in cells if _spans(cell.rows, d)]
 
 
 def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
@@ -457,31 +464,26 @@ def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
             f" over the cap of {_ENUM_CAP}"
         )
     trees = _all_spanning_trees(n, d)
-    k = len(trees)
 
     # bitmasks over the trees: clash[a] holds the trees with an alternating
-    # cycle against tree a, owners[s] the trees with facet s
-    rows = np.array([t.left_masks() for t in trees], dtype=np.uint64)
+    # cycle against tree a, internal_facets[t] the other trees that hold each
+    # interior facet of tree t (a tree holds it when it is the facet plus an edge)
+    rows, facets, owner = _interior_facets(trees, n, d, triangulation=True)
     clash = [
         int.from_bytes(row.tobytes(), "little")
         for _, bad in _bad_cycles(rows, _planes(rows, d))
         for row in bad
     ]
-    owners: dict[frozenset[Edge], int] = {}
-    internal_facets: list[list[frozenset[Edge]]] = []
-    for ti, t in enumerate(trees):
-        mine = _interior_facets(t, triangulation=True)
-        for s in mine:
-            owners[s] = owners.get(s, 0) | 1 << ti
-        internal_facets.append(mine)
+    internal_facets: list[list[int]] = [[] for _ in trees]
+    for ti, others in zip(owner.tolist(), _facet_holders(facets, owner, rows)):
+        internal_facets[ti].append(others)
 
     results: set[int] = set()
 
     def extend(seed: int, chosen: int) -> None:
         # elements_of lists 1-based bit positions: tree t is bit t - 1
         for ti in elements_of(chosen):
-            for s in internal_facets[ti - 1]:
-                others = owners[s] & ~(1 << (ti - 1))
+            for others in internal_facets[ti - 1]:
                 if others & chosen:
                     continue
                 # unmatched facet: branch over its other owners after the seed
@@ -491,7 +493,7 @@ def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
                 return
         results.add(chosen)
 
-    for seed in range(k):
+    for seed in range(len(trees)):
         extend(seed, 1 << seed)
 
     collections = [

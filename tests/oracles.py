@@ -131,6 +131,74 @@ def axioms_ok(types: set, n: int, d: int) -> bool:
     )
 
 
+# ------------------------------------------------------- subdivision facets
+#
+# A cell here is a frozenset of 1-based edges (i, j) of K_{n,d}.
+
+
+def bond_complements_naive(cell: frozenset, n: int, d: int) -> list[frozenset]:
+    """Bond complements that are one-directional cuts, found by visiting
+    every vertex bipartition and testing each side with a stack search."""
+    nv = n + d
+    adj: list[list[int]] = [[] for _ in range(nv)]
+    for i, j in cell:
+        adj[i - 1].append(n + j - 1)
+        adj[n + j - 1].append(i - 1)
+
+    def connected(side: set[int]) -> bool:
+        start = min(side)
+        seen, stack = {start}, [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in side and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == len(side)
+
+    out: list[frozenset] = []
+    seen_rests: set[frozenset] = set()
+    for assign in range(1, 1 << (nv - 1)):
+        side1 = {v for v in range(1, nv) if (assign >> (v - 1)) & 1}
+        side0 = set(range(nv)) - side1
+        crossing = set()
+        direction = set()
+        for i, j in cell:
+            s_l, s_r = i - 1 in side1, n + j - 1 in side1
+            if s_l != s_r:
+                crossing.add((i, j))
+                direction.add(s_l)
+        if not crossing or len(direction) == 2:
+            continue
+        if not (connected(side0) and connected(side1)):
+            continue
+        rest = cell - crossing
+        if rest not in seen_rests:
+            seen_rests.add(rest)
+            out.append(rest)
+    return out
+
+
+def unmatched_facets_naive(
+    cells: list[frozenset], n: int, d: int, triangulation: bool
+) -> list[tuple[int, tuple]]:
+    """Each interior facet (one that isolates no vertex) of each cell that
+    no other cell contains, as (1-based cell index, sorted edges), in cell
+    order: single-edge removals in triangulation mode, one-directional bond
+    complements otherwise."""
+    out = []
+    for idx, cell in enumerate(cells, start=1):
+        if triangulation:
+            candidates = [cell - {e} for e in sorted(cell)]
+        else:
+            candidates = bond_complements_naive(cell, n, d)
+        for rest in candidates:
+            if len({i for i, _ in rest}) < n or len({j for _, j in rest}) < d:
+                continue
+            if not any(rest <= other for k, other in enumerate(cells, 1) if k != idx):
+                out.append((idx, tuple(sorted(rest))))
+    return out
+
+
 # ------------------------------------------------- triangulation counting
 
 

@@ -337,6 +337,24 @@ def test_general_mode_check_refuses_too_many_bipartitions(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "cells, count",
+    [
+        ({"n": 8, "d": 9, "cells": [[[i, j] for i in range(1, 9) for j in range(1, 10)]]}, "65535"),
+        # general mode searches bipartitions before it builds any uint64 row,
+        # so d = 65 meets the bipartition cap first, not the direction bound
+        ({"n": 2, "d": 65, "cells": [[[1, 65]], [[1, 1]]]}, "73786976294838206463"),
+    ],
+)
+def test_general_mode_check_prints_the_bipartition_refusal(monkeypatch, capsys, cells, count):
+    n, d = cells["n"], cells["d"]
+    code, out, err = invoke(monkeypatch, capsys, ["subdiv", "check"], json.dumps(cells))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: a K_({n},{d}) cell has {count} vertex bipartitions, over the cap of 32768\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv,text",
     [
         (["subdiv", "enumerate", "--n", "3000", "--d", "64"], ""),
@@ -400,6 +418,15 @@ def test_triangulation_check_refuses_sixty_five_directions(monkeypatch, capsys, 
     # mask 1 << 64 of direction 65 would overflow the uint64 left rows
     cells = json.dumps({"n": 2, "d": 65, "cells": [[[1, 65]], [[1, 1]]]})
     code, out, err = invoke(monkeypatch, capsys, argv, cells)
+    assert (code, out) == (2, "")
+    assert err == "error: direction count d=65 outside [1, 64]\n"
+
+
+def test_census_refuses_sixty_five_directions(monkeypatch, capsys):
+    # K_(1,65) has one spanning tree, under the tree cap, and its row of 65
+    # directions would overflow a uint64 mask
+    argv = ["subdiv", "enumerate", "--n", "1", "--d", "65"]
+    code, out, err = invoke(monkeypatch, capsys, argv)
     assert (code, out) == (2, "")
     assert err == "error: direction count d=65 outside [1, 64]\n"
 

@@ -34,6 +34,9 @@ assert step(["tom", "reconstruct-topes"], step(["tom", "topes"], tom)) == tom
 
 arr = json.dumps(random_generic_arrangement(4, 3, seed=7).to_obj())
 tri = step(["subdiv", "from-tom"], step(["tom", "from-arrangement"], arr))
+step(["subdiv", "check"], tri)
+step(["subdiv", "check", "--triangulation"], tri)
+step(["subdiv", "enumerate", "--n", "3", "--d", "3"], "")
 tom = step(["subdiv", "to-tom"], tri)
 step(["tom", "check"], tom)
 cells = step(["subdiv", "from-tom"], tom)

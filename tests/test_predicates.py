@@ -127,49 +127,6 @@ def test_reconstruction_refuses_more_than_eight_directions():
 # ---------------------------------------------------------------- general mode
 
 
-def _facet_candidates_stack_search(cell: BipartiteSubgraph) -> list[frozenset]:
-    """Bond complements that are one-directional cuts, found by visiting
-    every vertex bipartition and testing each side with a stack search."""
-    n, d = cell.n, cell.d
-    nv = n + d
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for i, j in cell.edges:
-        adj[i - 1].append(n + j - 1)
-        adj[n + j - 1].append(i - 1)
-
-    def connected(side: set[int]) -> bool:
-        start = min(side)
-        seen, stack = {start}, [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in side and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(side)
-
-    out: list[frozenset] = []
-    seen_rests: set[frozenset] = set()
-    for assign in range(1, 1 << (nv - 1)):
-        side1 = {v for v in range(1, nv) if (assign >> (v - 1)) & 1}
-        side0 = set(range(nv)) - side1
-        crossing = set()
-        direction = set()
-        for i, j in cell.edges:
-            s_l, s_r = i - 1 in side1, n + j - 1 in side1
-            if s_l != s_r:
-                crossing.add((i, j))
-                direction.add(s_l)
-        if not crossing or len(direction) == 2:
-            continue
-        if not (connected(side0) and connected(side1)):
-            continue
-        rest = cell.edges - crossing
-        if rest not in seen_rests:
-            seen_rests.add(rest)
-            out.append(rest)
-    return out
-
-
 def test_general_facets_match_the_stack_search():
     rng = random.Random(74)
     kept = 0
@@ -182,8 +139,12 @@ def test_general_facets_match_the_stack_search():
         if not edges:
             continue
         cell = BipartiteSubgraph(n, d, edges)
-        expected = _facet_candidates_stack_search(cell)
-        assert subdivision._facet_candidates_general(cell) == expected, cell
+        expected = [
+            tuple(sum(1 << j - 1 for i, j in rest if i == left) for left in range(1, n + 1))
+            for rest in oracles.bond_complements_naive(edges, n, d)
+        ]
+        got = subdivision._facet_candidates_general(cell)
+        assert list(map(tuple, got)) == expected, cell
         kept += len(expected)
     assert kept > 1000
 

@@ -5,6 +5,9 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import subprocess
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -73,3 +76,23 @@ def test_the_record_says_whether_samples_wrote_bytecode(monkeypatch, tmp_path):
         assert code == 0
         assert record["machine"] == {"python": "3", "writes_bytecode": writes}
         assert "machine" not in record["workloads"]["good"]["details"]
+
+
+@pytest.mark.parametrize(
+    "stdout, returncode",
+    [("", 0), ("only one line\n", 0), ("details\nnot json\n", 0), ("", 3)],
+)
+def test_a_bad_run_is_named_by_its_workload(monkeypatch, tmp_path, capsys, stdout, returncode):
+    module = _load()
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"command": ["python3", "run.py"], "run_seconds": 1, "workloads": [{"name": "w"}]}
+    ))
+    monkeypatch.setattr(module.subprocess, "run", lambda argv, **kw: subprocess.CompletedProcess(
+        argv, returncode, stdout, "boom"
+    ))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.argv", ["record_bench.py", "--number", "99"])
+    assert module.main() == 1
+    assert sorted(os.listdir(tmp_path)) == ["BENCHMARK.json"]
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: w: ") and "w: w:" not in err[-1]

@@ -13,16 +13,18 @@ from tropom import (
     NotATriangulationError,
     SearchSpaceTooLargeError,
     SubgraphCollection,
+    arrangement_tom,
     check_subdivision,
     conjecture_probe,
     enumerate_triangulations,
+    random_arrangement,
     refinement_closure,
     subgraph_to_type,
     tom_to_subdivision,
     triangulation_types,
     type_to_subgraph,
 )
-from tropom import structure, subdivision
+from tropom import axioms, structure, subdivision
 import oracles
 from helpers import T, cells_of, cycle_grid, prism_cells, prism_tom, typeset
 
@@ -211,7 +213,7 @@ def _random_edges(rng, n, d):
 
 def _left_rows(cells, n, d):
     return np.array(
-        [BipartiteSubgraph(n, d, c).left_masks() for c in cells], dtype=np.uint64
+        [BipartiteSubgraph(n, d, c).rows for c in cells], dtype=np.uint64
     )
 
 
@@ -256,7 +258,7 @@ def test_spanning_test_matches_breadth_first_search():
         n, d = rng.randint(1, 4), rng.randint(1, 5)
         edges = _random_edges(rng, n, d)
         want = _connected_cover(n, d, edges)
-        assert structure._spans(BipartiteSubgraph(n, d, edges).left_masks(), d) == want, edges
+        assert structure._spans(BipartiteSubgraph(n, d, edges).rows, d) == want, edges
         spans += want
     assert 300 < spans < 2700
 
@@ -323,3 +325,44 @@ def test_edge_list_is_sorted_once_and_stays_out_of_identity():
     assert a == b and hash(a) == hash(b)
     assert repr(a) == f"BipartiteSubgraph(n=2, d=3, edges={a.edges!r})"
     assert a.to_obj() == [[1, 1], [1, 3], [2, 1], [2, 2]]
+
+
+def _facet_cases():
+    """Broken census triangulations (a cell dropped, a stray spanning tree
+    added, two merged), every spanning tree of K_{3,3} as one collection,
+    and general-mode subdivisions of degenerate arrangements."""
+    rng = random.Random(79)
+    cases = []
+    for n, d in ((3, 3), (4, 3)):
+        tris = enumerate_triangulations(n, d)
+        trees = subdivision._all_spanning_trees(n, d)
+        for _ in range(12):
+            cells = rng.choice(tris).cells
+            dropped = rng.randrange(len(cells))
+            cases.append(SubgraphCollection(n, d, cells[:dropped] + cells[dropped + 1:]))
+            cases.append(SubgraphCollection(n, d, cells + (rng.choice(trees),)))
+            cases.append(SubgraphCollection(n, d, cells + rng.choice(tris).cells))
+    cases.append(SubgraphCollection(3, 3, tuple(subdivision._all_spanning_trees(3, 3))))
+    for n, d in ((2, 3), (3, 3), (4, 3), (3, 4)):
+        for _ in range(6):
+            arr = random_arrangement(n, d, rng, bound=1)
+            cases.append(tom_to_subdivision(arrangement_tom(arr)))
+    return cases
+
+
+@pytest.mark.parametrize("budget,cap", [(None, None), (7, None), (None, 5)])
+def test_facet_matcher_agrees_with_the_superset_loop(monkeypatch, budget, cap):
+    if budget is not None:
+        monkeypatch.setattr(axioms, "_PAIR_BUDGET", budget)
+    if cap is not None:
+        monkeypatch.setattr(subdivision, "_MAX_REPORTED_FAILURES", cap)
+    unmatched = 0
+    for c in _facet_cases():
+        cells = [cell.edges for cell in c]
+        for triangulation in (True, False):
+            want = oracles.unmatched_facets_naive(cells, c.n, c.d, triangulation)
+            report = check_subdivision(c, triangulation)
+            assert report.facet_total == len(want), (c, triangulation)
+            assert list(report.facet_violations) == want[: subdivision._MAX_REPORTED_FAILURES]
+            unmatched += bool(want)
+    assert unmatched > 40

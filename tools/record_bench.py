@@ -36,7 +36,7 @@ def run_workload(command: list[str], name: str, seconds: float) -> tuple[dict, d
         argv[0] = sys.executable
     proc = subprocess.run(argv, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{name}: exited {proc.returncode}: {proc.stderr[-2000:]}")
+        raise RuntimeError(f"exited {proc.returncode}: {proc.stderr[-2000:]}")
     *_, details, result = proc.stdout.splitlines()
     return json.loads(result), json.loads(details)["details"]
 
@@ -55,7 +55,7 @@ def main() -> int:
         try:
             result, details = run_workload(bench["command"], name, bench["run_seconds"])
         except (RuntimeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {name}: {exc}", file=sys.stderr)
             return 1
         if result["correct"] is not True or result["failed"]:
             reasons = details.get("failures") or ["the result is not correct"]
