@@ -40,9 +40,11 @@ Warshall, and flags the members where a one-way arc is closed by a path
 back.  The census and tope reconstruction run it over all the planes in
 row blocks (``_bad_cycles``); comparability and the subdivision check keep
 the pairs a < b (``_cycle_failures``), so each block runs only against the
-members from the word of its first row on.  The witness,
-``find_directed_cycle`` on the explicit ``comparability_graph``, runs only
-for the pairs reported.
+members from the word of its first row on.  One search names the cycle of
+each pair reported, ``_closing_walk``: the first one-way arc closed by a
+path back, with the shortest path.  Comparability runs it on the explicit
+``comparability_graph`` (``find_directed_cycle``), the subdivision check on
+a graph built from two cells' rows.
 
 Refining along (P1|…|Pk) is refining in turn along the two-block partitions
 whose later block is Pk, then P(k-1), down to P2; ``_refine_rows`` does just
@@ -223,15 +225,20 @@ def comparability_graph(a: Type, b: Type) -> Semidigraph:
 
 
 def find_directed_cycle(g: Semidigraph) -> list[int] | None:
-    """A closed walk through at least one one-way arc, or None.
+    """A closed walk through at least one one-way arc, as a vertex list with
+    the start repeated at the end, e.g. [2, 3, 1, 2], or None: the walk of
+    ``_closing_walk`` over the one-way arcs and neighbours in sorted order."""
+    return _closing_walk({v: sorted(ws) for v, ws in g.arcs().items()}, sorted(g.directed))
 
-    The walk is returned as a vertex list with the start repeated at the
-    end, e.g. [2, 3, 1, 2].  It closes the first one-way arc j -> k, in
-    sorted order, with a shortest way back from k to j (breadth first,
-    neighbours in ascending order).
-    """
-    adj = {v: sorted(ws) for v, ws in g.arcs().items()}
-    for j, k in sorted(g.directed):
+
+def _closing_walk(
+    adj: dict[int, list[int]], one_way: list[tuple[int, int]]
+) -> list[int] | None:
+    """The first arc j -> k of one_way that a path from k back to j closes,
+    with the shortest such path (breadth first, neighbours in adj's order),
+    as a vertex list [j, k, ..., j]; None when no arc closes.  A shortest
+    path repeats no vertex, so the walk repeats only its start."""
+    for j, k in one_way:
         prev = {k: k}
         queue = [k]
         head = 0
@@ -247,8 +254,7 @@ def find_directed_cycle(g: Semidigraph) -> list[int] | None:
         path = [j]
         while path[-1] != k:
             path.append(prev[path[-1]])
-        path.reverse()  # now k ... j
-        return [j] + path
+        return [j] + path[::-1]  # j, k, ..., j
     return None
 
 

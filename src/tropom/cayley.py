@@ -4,9 +4,13 @@ A fine cell over d = 3 is a Minkowski sum of one triangle or two unit
 segments plus points, so the cells of a triangulation tile the side-n
 triangle with upward unit triangles and unit rhombi (lozenges).  This
 module classifies the pieces, enumerates the legal moves between adjacent
-cells (which coordinate gains a direction when another sheds one), lays the
-tiling out with exact lattice coordinates, and renders it to SVG with the
-induced pseudoline overlay (one polyline class per hyperplane).
+cells, lays the tiling out with exact lattice coordinates, and renders it
+to SVG with the induced pseudoline overlay (one polyline class per
+hyperplane).  A fine cell is a spanning tree of K_{n,3}, and a move is a
+flip across a facet: shedding u from coordinate p drops the edge (p, u),
+which cuts the tree in two (``_side``, by ``structure._components``), and
+adds one edge across the cut, from a coordinate on u's side to a direction
+on the other side.
 
 Lattice convention: a point with barycentric coordinates (p1, p2, p3),
 summing to n, sits at axial (u, v) = (p2, p3); the plane map is
@@ -37,7 +41,7 @@ from .core import (
     Type,
     elements_of,
 )
-from .structure import _spans
+from .structure import _components, _spans
 from .subdivision import SubgraphCollection, require_triangulation, subgraph_to_type
 
 Axial = tuple[int, int]  # a lattice point (u, v) = (p2, p3)
@@ -120,53 +124,31 @@ def _with_row(coords: tuple[int, ...], row: int, mask: int) -> tuple[int, ...]:
     return coords[: row - 1] + (mask,) + coords[row:]
 
 
-def _landings(a: Type) -> list[tuple[int, int, list[tuple[int, ...]]]]:
-    """(position, numeral, landings) for every single-direction shed from a
-    fine d=3 cell, the landings as coordinate tuples in increasing order.
+def _side(rows: tuple[int, ...], d: int, u: int) -> int:
+    """The directions on u's side of the cut a spanning tree less one edge
+    has, from its left rows; a row is on the side it meets, if any."""
+    return next(c for c in _components(rows, d) if c >> (u - 1) & 1)
 
-    Shedding from a triangle, or the unshared direction of a rhombus
-    segment, hands the direction to a coordinate currently pinned to it.
-    Shedding the shared direction of a rhombus leaves a segment behind and
-    hands that segment's other direction out instead — to a pinned
-    coordinate or to the partner segment (making it a triangle)."""
-    piece = classify_piece(a)
-    shared_mask = 0
-    if piece.kind.startswith("rhombus"):
-        shared_mask = a.coords[piece.positions[0] - 1] & a.coords[piece.positions[1] - 1]
+
+def transitions(a: Type) -> tuple[TransitionMove, ...]:
+    """All single-direction sheds from a fine d=3 cell and their landings,
+    the flips across the cut each shed makes, in increasing coordinate order."""
+    classify_piece(a)  # a fine d=3 cell, or NotAFineCellError
     moves = []
     for p, mask in enumerate(a.coords, start=1):
         if mask.bit_count() < 2:
             continue
         for u in elements_of(mask):
-            ub = 1 << (u - 1)
-            after = _with_row(a.coords, p, mask & ~ub)
-            cands = []
-            if mask.bit_count() == 3 or ub != shared_mask:
-                for q, qm in enumerate(a.coords, start=1):
-                    if q == p or qm != ub:
-                        continue
-                    for x in (1, 2, 3):
-                        if x != u:
-                            cands.append(_with_row(after, q, ub | (1 << (x - 1))))
-            else:
-                wb = mask & ~ub
-                for q, qm in enumerate(a.coords, start=1):
-                    if q == p:
-                        continue
-                    if qm.bit_count() == 2:
-                        cands.append(_with_row(after, q, 0b111))
-                    elif qm.bit_count() == 1 and qm != wb:
-                        cands.append(_with_row(after, q, qm | wb))
-            moves.append((p, u, sorted(cands)))
-    return moves
-
-
-def transitions(a: Type) -> tuple[TransitionMove, ...]:
-    """All single-direction sheds from a fine d=3 cell and their landings."""
-    return tuple(
-        TransitionMove(p, u, tuple(Type(a.n, a.d, c) for c in cands))
-        for p, u, cands in _landings(a)
-    )
+            after = _with_row(a.coords, p, mask & ~(1 << (u - 1)))
+            side = _side(after, a.d, u)
+            landings = sorted(
+                _with_row(after, q, row | 1 << (x - 1))
+                for q, row in enumerate(after, start=1)
+                if row & side
+                for x in elements_of((1 << a.d) - 1 & ~side)
+            )
+            moves.append(TransitionMove(p, u, tuple(Type(a.n, a.d, c) for c in landings)))
+    return tuple(moves)
 
 
 @dataclass(frozen=True)
@@ -192,25 +174,26 @@ class TransitionReport:
 
 
 def verify_transition_rules(c: SubgraphCollection) -> TransitionReport:
-    """Check that every adjacent pair of cells is a legal transition move."""
+    """Check that every adjacent pair of cells is a legal transition move.
+    Cell b is adjacent to a when it swaps one edge (p, u) of a for (q, x).
+    Both moves, shedding u from p in a and x from q in b, flip across the
+    cut a & b makes, and are legal when q is on u's side of it and x is not;
+    b is a tree, so (q, x) crosses the cut and x off u's side says both."""
     if c.d != 3:
         raise ValueError(f"transition rules need d=3, got d={c.d}")
     require_triangulation(c)
-    types = [subgraph_to_type(cell) for cell in c.cells]
-    move_maps = [{(p, u): cands for p, u, cands in _landings(t)} for t in types]
+    # a cell's edges as one int: edge (i, j) is bit 3(i - 1) + j - 1
+    packed = [sum(row << 3 * i for i, row in enumerate(cell.rows)) for cell in c.cells]
     pairs = 0
     violations = []
-    for (ia, ca), (ib, cb) in itertools.combinations(enumerate(c.cells), 2):
-        gone = ca.edges - cb.edges
-        added = cb.edges - ca.edges
-        if len(gone) != 1 or len(added) != 1:
+    for (ia, a), (ib, b) in itertools.combinations(enumerate(packed), 2):
+        gone, added = a & ~b, b & ~a
+        if gone.bit_count() != 1 or added.bit_count() != 1:
             continue
         pairs += 1
-        (p, u) = next(iter(gone))
-        (q, x) = next(iter(added))
-        fwd = move_maps[ia].get((p, u), ())
-        back = move_maps[ib].get((q, x), ())
-        if types[ib].coords not in fwd or types[ia].coords not in back:
+        shared = tuple((a & b) >> 3 * i & 7 for i in range(c.n))
+        side = _side(shared, 3, (gone.bit_length() - 1) % 3 + 1)
+        if side >> (added.bit_length() - 1) % 3 & 1:
             violations.append((ia + 1, ib + 1))
     return TransitionReport(
         cell_count=len(c.cells),

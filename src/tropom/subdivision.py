@@ -20,7 +20,12 @@ are rows too: a cell's rows with one edge's bit cleared in triangulation mode
 ``structure._components``, whose crossing edges all run one way.  One
 matcher, ``_facet_holders``, finds the other cells holding each facet, for
 the check and the census.  ``axioms._bad_cycles`` flags the pairs of cells
-with an alternating cycle, on their rows sliced once."""
+with an alternating cycle, on their rows sliced once.  The check names the
+cycle of each pair it reports with ``_alternating_witness``: the first
+one-way arc (an edge of one cell only) that a path back closes, with the
+shortest path, found by ``axioms._closing_walk`` as comparability's cycles
+are.  Such a cycle exists exactly when the pair is flagged, and it is
+simple, with four or more edges, since the arc's reverse is missing."""
 
 from __future__ import annotations
 
@@ -34,6 +39,7 @@ from .axioms import (
     _MAX_REPORTED_FAILURES,
     AxiomReport,
     _bad_cycles,
+    _closing_walk,
     _cycle_failures,
     _planes,
     _row_blocks,
@@ -183,51 +189,31 @@ class SubgraphCollection:
 
 
 # ---------------------------------------------------------------------------
-# graph helpers (vertices 0..n-1 on the left, n..n+d-1 on the right)
+# the alternating-cycle witness
 
 
-def _alternating_cycle(
-    ta: frozenset[Edge], tb: frozenset[Edge], n: int, d: int
+def _alternating_witness(
+    ra: Sequence[int], rb: Sequence[int], d: int
 ) -> tuple[Edge, ...] | None:
-    """A violating alternating cycle between two cells, or None.
-
-    Arcs go left-to-right along ta and right-to-left along tb; a violation
-    is a simple directed cycle of length >= 4 using an edge outside ta & tb.
-    One exists exactly when ``axioms._bad_cycles`` flags the cells' left
-    rows; callers search only the pairs they report, to name the cycle.
-    """
-    shared = ta & tb
-    arcs: list[list[tuple[int, Edge]]] = [[] for _ in range(n + d)]
-    for i, j in sorted(ta):
-        arcs[i - 1].append((n + j - 1, (i, j)))
-    for i, j in sorted(tb):
-        arcs[n + j - 1].append((i - 1, (i, j)))
-
-    def dfs(
-        start: int, v: int, visited: set[int], trail: list[Edge]
-    ) -> tuple[Edge, ...] | None:
-        for w, e in arcs[v]:
-            if w == start:
-                if len(trail) + 1 >= 4:
-                    cyc = trail + [e]
-                    if any(edge not in shared for edge in cyc):
-                        return tuple(cyc)
-                continue
-            if w > start and w not in visited:
-                visited.add(w)
-                trail.append(e)
-                got = dfs(start, w, visited, trail)
-                if got is not None:
-                    return got
-                trail.pop()
-                visited.remove(w)
+    """A violating alternating cycle between two cells, from their left rows,
+    as its edges in walk order, or None.  Node i is left vertex i and node
+    n + j direction j; a shared edge runs both ways, an edge only in cell a
+    left to right and one only in cell b right to left."""
+    n = len(ra)
+    adj: dict[int, list[int]] = {v: [] for v in range(1, n + d + 1)}
+    one_way = []
+    for i, (a, b) in enumerate(zip(ra, rb), start=1):
+        for j in elements_of(a | b):
+            if a >> (j - 1) & 1:
+                adj[i].append(n + j)
+            if b >> (j - 1) & 1:
+                adj[n + j].append(i)
+            if (a ^ b) >> (j - 1) & 1:
+                one_way.append((i, n + j) if a >> (j - 1) & 1 else (n + j, i))
+    walk = _closing_walk(adj, sorted(one_way))
+    if walk is None:
         return None
-
-    for start in range(n + d):
-        got = dfs(start, start, {start}, [])
-        if got is not None:
-            return got
-    return None
+    return tuple((u, v - n) if u <= n else (v, u - n) for u, v in zip(walk, walk[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +367,7 @@ def check_subdivision(
 
     pairs, alt_total = _cycle_failures(rows, d, _MAX_REPORTED_FAILURES)
     alt_viol = [
-        (x + 1, y + 1, _alternating_cycle(cells[x].edges, cells[y].edges, n, d))
+        (x + 1, y + 1, _alternating_witness(cells[x].rows, cells[y].rows, d))
         for x, y in pairs
     ]
 
@@ -496,12 +482,11 @@ def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
     for seed in range(len(trees)):
         extend(seed, 1 << seed)
 
-    collections = [
-        SubgraphCollection(n, d, tuple(trees[ti - 1] for ti in elements_of(combo)))
-        for combo in results
-    ]
-    collections.sort(key=lambda col: tuple(cell.edge_list() for cell in col.cells))
-    return tuple(collections)
+    # the trees are in edge-list order, so tree indices sort like edge lists
+    return tuple(
+        SubgraphCollection(n, d, tuple(trees[ti - 1] for ti in combo))
+        for combo in sorted(map(elements_of, results))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,77 @@ def unmatched_facets_naive(
     return out
 
 
+def alternating_cycle_ok(cycle, ta: frozenset, tb: frozenset) -> bool:
+    """Whether a sequence of edges (i, j) is a violating alternating cycle of
+    two cells: a closed walk of even length >= 4 through distinct vertices,
+    each step left to right along an edge of ta or right to left along an
+    edge of tb, with an edge outside ta & tb."""
+    m = len(cycle)
+    if m < 4 or m % 2 or all(e in ta and e in tb for e in cycle):
+        return False
+    for start in (("L", cycle[0][0]), ("R", cycle[0][1])):
+        v, seen = start, []
+        for i, j in cycle:
+            seen.append(v)
+            if v == ("L", i) and (i, j) in ta:
+                v = ("R", j)
+            elif v == ("R", j) and (i, j) in tb:
+                v = ("L", i)
+            else:
+                break
+        else:
+            if v == start and len(set(seen)) == m:
+                return True
+    return False
+
+
+# ---------------------------------------------------- transition moves
+#
+# A fine three-direction cell is a tuple of frozensets: one triangle (a
+# coordinate of three directions) or two segments (coordinates of two)
+# sharing one direction, the rest singletons.
+
+
+def transition_landings_naive(a: tuple[frozenset, ...]) -> list[tuple[int, int, list]]:
+    """(position, numeral, landings) for every direction shed from a
+    coordinate of two or more, by the case table of the planar pictures.
+
+    Shedding u from a triangle, or the unshared direction u of a rhombus
+    segment, hands u to a coordinate pinned to it (the singleton {u}),
+    which becomes {u, x} for either other direction x.  Shedding the shared direction of a rhombus
+    leaves a segment behind and hands that segment's other direction out
+    instead: to a pinned coordinate or to the partner segment (making it a
+    triangle).  Landings are sorted as the library sorts coordinate tuples,
+    a set ranking by the sum of 2^(j - 1) over its elements."""
+    segments = [s for s in a if len(s) == 2]
+    shared = segments[0] & segments[1] if len(segments) == 2 else frozenset()
+
+    def put(t, q, s):
+        return t[: q - 1] + (frozenset(s),) + t[q:]
+
+    moves = []
+    for p, s in enumerate(a, start=1):
+        if len(s) < 2:
+            continue
+        for u in sorted(s):
+            after = put(a, p, s - {u})
+            cands = []
+            if len(s) == 3 or {u} != shared:
+                for q, t in enumerate(a, start=1):
+                    if q != p and t == {u}:
+                        cands += [put(after, q, {u, x}) for x in (1, 2, 3) if x != u]
+            else:
+                rest = s - {u}
+                for q, t in enumerate(a, start=1):
+                    if q != p and len(t) == 2:
+                        cands.append(put(after, q, {1, 2, 3}))
+                    elif q != p and len(t) == 1 and t != rest:
+                        cands.append(put(after, q, t | rest))
+            cands.sort(key=lambda t: tuple(sum(2 ** (j - 1) for j in s) for s in t))
+            moves.append((p, u, cands))
+    return moves
+
+
 # ------------------------------------------------- triangulation counting
 
 

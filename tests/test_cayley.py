@@ -2,22 +2,29 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tropom import (
+    BipartiteSubgraph,
     NotAFineCellError,
     NotATriangulationError,
+    SubgraphCollection,
+    cayley,
     cayley_cell,
     classify_piece,
     embed,
     enumerate_triangulations,
     render_svg,
+    subgraph_to_type,
     transitions,
     verify_transition_rules,
 )
+import oracles
 from helpers import T, cells_of, prism_cells
 
 GOLDEN_SVG = Path(__file__).parent / "data" / "golden_prism.svg"
@@ -76,6 +83,53 @@ def test_transitions_three_rows():
     }
     assert set(moves[(2, 3)]) == {T(3, "23", "1", "12"), T(3, "123", "1", "2")}
     assert moves[(2, 1)] == ()
+
+
+def test_transitions_match_the_case_table():
+    # the fine d = 3 cells with n <= 5 are the spanning trees of K_{n,3}
+    cells = 0
+    for n in range(1, 6):
+        for tree in oracles.spanning_trees_naive(n, 3):
+            a = subgraph_to_type(BipartiteSubgraph(n, 3, tree))
+            got = [
+                (m.position, m.numeral, [oracles.as_naive(c) for c in m.candidates])
+                for m in transitions(a)
+            ]
+            assert got == oracles.transition_landings_naive(oracles.as_naive(a)), a
+            cells += 1
+    assert cells == 2551
+
+
+def test_verify_flags_the_pairs_the_case_table_rejects(monkeypatch):
+    # random sets of trees with the triangulation gate lifted, so that
+    # illegal adjacent pairs occur
+    monkeypatch.setattr(cayley, "require_triangulation", lambda c: None)
+    rng = random.Random(19)
+    flagged = 0
+    for n in (2, 3, 4):
+        trees = oracles.spanning_trees_naive(n, 3)
+        for _ in range(200):
+            picked = rng.sample(trees, rng.randint(2, min(10, len(trees))))
+            cells = SubgraphCollection(n, 3, tuple(BipartiteSubgraph(n, 3, t) for t in picked))
+            naive = [oracles.as_naive(subgraph_to_type(cell)) for cell in cells]
+            moves = [
+                {(p, u): landings for p, u, landings in oracles.transition_landings_naive(a)}
+                for a in naive
+            ]
+            pairs, violations = 0, []
+            for (ia, ca), (ib, cb) in itertools.combinations(enumerate(cells), 2):
+                gone, added = ca.edges - cb.edges, cb.edges - ca.edges
+                if len(gone) != 1 or len(added) != 1:
+                    continue
+                pairs += 1
+                fwd = moves[ia].get(next(iter(gone)), [])
+                back = moves[ib].get(next(iter(added)), [])
+                if naive[ib] not in fwd or naive[ia] not in back:
+                    violations.append((ia + 1, ib + 1))
+            report = verify_transition_rules(cells)
+            assert (report.adjacent_pairs, list(report.violations)) == (pairs, violations)
+            flagged += len(violations)
+    assert flagged > 100
 
 
 def test_verify_transition_rules_on_the_prism():

@@ -6,6 +6,7 @@ import argparse
 import io
 import json
 import random
+import time
 
 import pytest
 
@@ -22,6 +23,7 @@ from tropom import (
     vertices,
 )
 from tropom.cli import run
+import oracles
 from helpers import T, prism_arrangement, prism_cells, prism_tom
 
 PRISM_JSON = json.dumps(prism_tom().to_obj())
@@ -144,6 +146,26 @@ def test_subdiv_check_modes(monkeypatch, capsys):
     code, out, _ = invoke(monkeypatch, capsys, ["subdiv", "check"], bad)
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_alternating_cycle_is_named_without_a_path_search(monkeypatch, capsys):
+    # both cells hold K_{8,8}, the edges (9, 1) and (1, 10), and cross in the
+    # corner {9, 10} x {9, 10}: a search over simple paths from left vertex 1
+    # walks the block for minutes before it reaches the corner
+    k = 8
+    common = [[i, j] for i in range(1, k + 1) for j in range(1, k + 1)]
+    common += [[k + 1, 1], [1, k + 2]]
+    x = common + [[k + 1, k + 1], [k + 2, k + 2]]
+    y = common + [[k + 1, k + 2], [k + 2, k + 1]]
+    cells = json.dumps({"n": k + 2, "d": k + 2, "cells": [x, y]})
+    start = time.perf_counter()
+    code, out, _ = invoke(monkeypatch, capsys, ["subdiv", "check", "--triangulation"], cells)
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    (violation,) = json.loads(out)["alternating"]["violations"]
+    assert violation["cells"] == [1, 2]
+    ta, tb = frozenset(map(tuple, x)), frozenset(map(tuple, y))
+    assert oracles.alternating_cycle_ok([tuple(e) for e in violation["cycle"]], ta, tb)
 
 
 def test_subdiv_enumerate_count(monkeypatch, capsys):

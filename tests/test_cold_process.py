@@ -18,12 +18,12 @@ import contextlib, io, json, sys
 from tropom.arrangement import random_generic_arrangement
 from tropom.cli import run
 
-def step(argv, text):
+def step(argv, text, expect=0):
     out = io.StringIO()
     sys.stdin = io.StringIO(text)
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
-    assert code == 0, (argv, code)
+    assert code == expect, (argv, code)
     return out.getvalue()
 
 arr = json.dumps(random_generic_arrangement(3, 5, seed=7).to_obj())
@@ -36,7 +36,12 @@ arr = json.dumps(random_generic_arrangement(4, 3, seed=7).to_obj())
 tri = step(["subdiv", "from-tom"], step(["tom", "from-arrangement"], arr))
 step(["subdiv", "check"], tri)
 step(["subdiv", "check", "--triangulation"], tri)
-step(["subdiv", "enumerate", "--n", "3", "--d", "3"], "")
+census = json.loads(step(["subdiv", "enumerate", "--n", "3", "--d", "3"], ""))
+# two triangulations as one collection: its alternating cycles get named
+tris = census["triangulations"]
+mixed = json.dumps({"n": 3, "d": 3, "cells": tris[0] + tris[-1]})
+report = json.loads(step(["subdiv", "check", "--triangulation"], mixed, expect=1))
+assert report["alternating"]["violations"]
 tom = step(["subdiv", "to-tom"], tri)
 step(["tom", "check"], tom)
 cells = step(["subdiv", "from-tom"], tom)

@@ -203,6 +203,13 @@ def test_probe_small_shapes():
     assert conjecture_probe(2, 2).triangulation_count == 2
 
 
+def test_census_is_in_edge_list_order():
+    for n, d in ((2, 3), (3, 3), (4, 3), (3, 4), (2, 6), (5, 2), (1, 4)):
+        tris = enumerate_triangulations(n, d)
+        keys = [tuple(cell.edge_list() for cell in tri.cells) for tri in tris]
+        assert keys == sorted(set(keys)), (n, d)
+
+
 def _random_edges(rng, n, d):
     edges = [(i, j) for i in range(1, n + 1) for j in range(1, d + 1)]
     density = rng.random()
@@ -217,6 +224,13 @@ def _left_rows(cells, n, d):
     )
 
 
+def _witness_agrees(flagged, ta, tb, ra, rb, d):
+    cyc = subdivision._alternating_witness(ra, rb, d)
+    assert flagged == (cyc is not None), (ta, tb)
+    assert cyc is None or oracles.alternating_cycle_ok(cyc, ta, tb), (ta, tb, cyc)
+    return cyc is not None
+
+
 def test_cycle_kernel_decides_alternating_cycles():
     for n, d in ((3, 3), (2, 4)):
         trees = oracles.spanning_trees_naive(n, d)
@@ -224,15 +238,17 @@ def test_cycle_kernel_decides_alternating_cycles():
         flagged = cycle_grid(rows, rows, d)
         for a, ta in enumerate(trees):
             for b, tb in enumerate(trees):
-                cyc = subdivision._alternating_cycle(ta, tb, n, d)
-                assert flagged[a, b] == (cyc is not None), (ta, tb)
+                _witness_agrees(flagged[a, b], ta, tb, rows[a].tolist(), rows[b].tolist(), d)
         assert flagged.any() and not flagged.all()
     rng = random.Random(77)
+    named = 0
     for _ in range(3000):
         n, d = rng.randint(1, 4), rng.randint(1, 5)
         ta, tb = _random_edges(rng, n, d), _random_edges(rng, n, d)
-        flagged = cycle_grid(_left_rows([ta], n, d), _left_rows([tb], n, d), d)[0]
-        assert flagged[0] == (subdivision._alternating_cycle(ta, tb, n, d) is not None)
+        ra, rb = _left_rows([ta], n, d), _left_rows([tb], n, d)
+        flagged = cycle_grid(ra, rb, d)[0, 0]
+        named += _witness_agrees(flagged, ta, tb, ra[0].tolist(), rb[0].tolist(), d)
+    assert 300 < named < 2700
 
 
 def _connected_cover(n, d, edges):
@@ -265,13 +281,13 @@ def test_spanning_test_matches_breadth_first_search():
 
 def test_alternating_search_runs_only_on_flagged_pairs(monkeypatch):
     calls = []
-    search = subdivision._alternating_cycle
+    search = subdivision._alternating_witness
 
-    def counted(ta, tb, n, d):
-        calls.append((ta, tb))
-        return search(ta, tb, n, d)
+    def counted(ra, rb, d):
+        calls.append((ra, rb))
+        return search(ra, rb, d)
 
-    monkeypatch.setattr(subdivision, "_alternating_cycle", counted)
+    monkeypatch.setattr(subdivision, "_alternating_witness", counted)
     assert check_subdivision(prism_cells(), triangulation=True).ok
     assert not calls
     tris = enumerate_triangulations(2, 3)
@@ -295,9 +311,9 @@ def test_subdivision_report_is_capped(monkeypatch):
     assert "total" not in full_facet.to_obj()["facets"]
 
     calls = []
-    search = subdivision._alternating_cycle
+    search = subdivision._alternating_witness
     monkeypatch.setattr(
-        subdivision, "_alternating_cycle", lambda *a: calls.append(a) or search(*a)
+        subdivision, "_alternating_witness", lambda *a: calls.append(a) or search(*a)
     )
     monkeypatch.setattr(subdivision, "_MAX_REPORTED_FAILURES", 5)
     alt = check_subdivision(crowd, triangulation=True)
