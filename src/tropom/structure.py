@@ -4,7 +4,7 @@ topes, and the two minor operations (deletion and contraction).
 
 ``_components`` is the one connectivity routine: it gives the direction
 components of a type, the classes of a refinement witness, the one vertex
-test ``_spans`` and, in ``subdivision``, whether a cut is a bond.
+test ``_spans`` and, in ``subdivision``, the direction cuts that give facets.
 ``_singletons`` is the one tope test; both read rows, not Types."""
 
 from __future__ import annotations

@@ -16,10 +16,10 @@ Each cell keeps its left rows, ``BipartiteSubgraph.rows`` (row i - 1 is
 coordinate i of the cell as a type), and all three tests read them.  A cell
 spans when they pass the vertex test ``structure._spans``.  Interior facets
 are rows too: a cell's rows with one edge's bit cleared in triangulation mode
-(a tree's bonds are its edges), else the complements of the bonds, found by
-``structure._components``, whose crossing edges all run one way.  One
-matcher, ``_facet_holders``, finds the other cells holding each facet, for
-the check and the census.  ``axioms._bad_cycles`` flags the pairs of cells
+(a tree's bonds are its edges), else its direction cuts, decided by
+``structure._components`` as the vertex test is.  One matcher,
+``_facet_holders``, finds the other cells holding each facet, for the check
+and the census.  ``axioms._bad_cycles`` flags the pairs of cells
 with an alternating cycle, on their rows sliced once.  The check names the
 cycle of each pair it reports with ``_alternating_witness``: the first
 one-way arc (an edge of one cell only) that a path back closes, with the
@@ -29,7 +29,9 @@ simple, with four or more edges, since the arc's reverse is missing."""
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -65,10 +67,13 @@ from .structure import _components, _spans, vertices
 # have millions of triangulations and would run for hours.
 _ENUM_CAP = 1000
 
-# Vertex-bipartition budget for one cell's general-mode facets.  A K_{8,8}
-# cell has 2^15 bipartitions and takes under a second; each further vertex
-# doubles the time, so K_{12,12} would take minutes and K_{16,16} hours.
-_BIPARTITION_CAP = 1 << 15
+# Kept-row budget of a general-mode cell, n rows for each of its 2^d - 2 direction
+# cuts: all shapes with n + d <= 16 fit, and each further direction doubles it.
+_CUT_ROW_CAP = 1 << 15
+
+# Edge budget of a parsed shape: a cell's rows take n words and its tests walk
+# d directions, so a one-edge input naming K_{10^13,3} would exhaust memory.
+_SHAPE_EDGE_CAP = 1 << 20
 
 Edge = tuple[int, int]
 
@@ -169,6 +174,9 @@ class SubgraphCollection:
         n, d, raw = read_shaped(obj, "a collection", "cells")
         if type(n) is not int or type(d) is not int:
             raise ValueError(f"n and d must be integers, got n={n!r}, d={d!r}")
+        if n * d > _SHAPE_EDGE_CAP:
+            raise SearchSpaceTooLargeError(f"K_({n},{d}) has {_count_text(n * d)} edges,"
+                                           f" over the cap of {_SHAPE_EDGE_CAP}")
         if not isinstance(raw, list) or not raw:
             raise ValueError("cells must be a nonempty array")
         cells = tuple(BipartiteSubgraph.from_obj(entry, n, d) for entry in raw)
@@ -268,40 +276,25 @@ class SubdivisionReport:
         }
 
 
-def _facet_candidates_general(cell: BipartiteSubgraph) -> list[list[int]]:
-    """Bond complements that are one-directional cuts (candidate faces), as rows.
-
-    Left vertex 1 stays on side 0; ``right1`` holds the directions and
-    ``left1`` the left vertices (bit i - 1 for vertex i) on side 1, with
-    right1 varying slowest.  A bipartition is a bond when both sides are
-    connected, i.e. its complement has two components, and then the
-    complement determines it.
-    """
-    n, d = cell.n, cell.d
-    bipartitions = (1 << (n + d - 1)) - 1
-    if bipartitions > _BIPARTITION_CAP:
-        raise SearchSpaceTooLargeError(
-            f"a K_({n},{d}) cell has {_count_text(bipartitions)} vertex bipartitions,"
-            f" over the cap of {_BIPARTITION_CAP}"
-        )
-    rows = cell.rows
-    out: list[list[int]] = []
-    for right1 in range(1 << d):
-        # bit i - 1: left vertex i has an edge into side 1, into side 0
-        into1 = sum(1 << i for i, row in enumerate(rows) if row & right1)
-        into0 = sum(1 << i for i, row in enumerate(rows) if row & ~right1)
-        for left1 in range(0 if right1 else 2, 1 << n, 2):
-            # one-directional: edges cross from side 1 or from side 0, not both
-            if bool(left1 & into0) == bool(into1 & ~left1):
-                continue
-            kept = [
-                row & (right1 if left1 >> i & 1 else ~right1) for i, row in enumerate(rows)
-            ]
-            # vertex bits: left vertex i is bit i - 1, direction j is bit n + j - 1
-            joins = [1 << i | row << n for i, row in enumerate(kept)]
-            if len(_components(joins, n + d)) == 2:
-                out.append(kept)
-    return out
+def _direction_cut_facets(cell: BipartiteSubgraph) -> list[list[int]]:
+    """A general-mode cell's interior facets as rows.  The edges across a
+    facet's cut run from the left vertices of one side to the directions J
+    of the other, and no vertex of a facet is isolated, so the left vertices
+    that meet J keep their edges into J, the others their whole rows, and J
+    gives a facet when an edge crosses and the kept rows, all nonempty, cover
+    the d directions in two pieces.  Listed by the side without left vertex
+    1: its directions, then its left vertices as bits."""
+    n, d, rows = cell.n, cell.d, list(cell.rows)
+    everything, left_all = (1 << d) - 1, (1 << n) - 1
+    found: dict[tuple[int, int], list[int]] = {}
+    for cut in range(1, everything):
+        kept = [row & cut or row for row in rows]
+        covers = all(kept) and functools.reduce(operator.or_, kept) == everything
+        if kept != rows and covers and len(_components(kept, d)) == 2:
+            left = sum(1 << i for i, row in enumerate(rows) if row & cut)
+            side = (cut, left) if not left & 1 else (everything ^ cut, left_all ^ left)
+            found[side] = kept
+    return [found[side] for side in sorted(found)]
 
 
 def _interior_facets(
@@ -309,9 +302,14 @@ def _interior_facets(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cells' (k, n) uint64 left rows, and their facets that isolate no
     vertex as rows, with the index of each one's cell: every edge's bit cleared
-    in triangulation mode, in (cell, i, j) order, else the one-way bond complements."""
-    # the bipartition cap refuses first; d > 64 would overflow the uint64 rows
-    bonds = [] if triangulation else [_facet_candidates_general(cell) for cell in cells]
+    in triangulation mode, in (cell, i, j) order, else the direction cuts'."""
+    # the kept-row cap refuses first; d > 64 would overflow the uint64 rows
+    if not triangulation and (count := ((1 << d) - 2) * n) > _CUT_ROW_CAP:
+        raise SearchSpaceTooLargeError(
+            f"a K_({n},{d}) cell keeps {_count_text(count)} rows over its direction cuts,"
+            f" over the cap of {_CUT_ROW_CAP}"
+        )
+    cuts = [] if triangulation else [_direction_cut_facets(cell) for cell in cells]
     _validate_dims(n, d)
     rows = np.array([cell.rows for cell in cells], dtype=np.uint64).reshape(-1, n)
     if triangulation:
@@ -320,8 +318,8 @@ def _interior_facets(
         facets = rows[owner]
         facets[np.arange(len(owner)), i] &= ~bits[j]
     else:
-        owner = np.repeat(np.arange(len(cells)), [len(b) for b in bonds])
-        facets = np.array([f for b in bonds for f in b], dtype=np.uint64).reshape(-1, n)
+        owner = np.repeat(np.arange(len(cells)), [len(c) for c in cuts])
+        facets = np.array([f for c in cuts for f in c], dtype=np.uint64).reshape(-1, n)
     covers = np.bitwise_or.reduce(facets, axis=1) == np.uint64((1 << d) - 1)
     interior = covers & (facets != 0).all(axis=1)
     return rows, facets[interior], owner[interior]
@@ -346,6 +344,8 @@ def check_subdivision(
     entries, and cycles are named for those only; the report counts all."""
     n, d = c.n, c.d
     cells = c.cells
+    # first, so that a refused shape never reaches the spanning test
+    rows, facets, owner = _interior_facets(cells, n, d, triangulation)
 
     spanning_viol: list[tuple[int, str]] = []
     for idx, cell in enumerate(cells, start=1):
@@ -356,7 +356,6 @@ def check_subdivision(
                 (idx, f"{len(cell.edges)} edges, a spanning tree needs {n + d - 1}")
             )
 
-    rows, facets, owner = _interior_facets(cells, n, d, triangulation)
     holders = _facet_holders(facets, owner, rows)
     unmatched = [f for f, others in enumerate(holders) if not others]
     facet_viol: list[tuple[int, tuple[Edge, ...]]] = []

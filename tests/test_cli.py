@@ -5,7 +5,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -26,6 +29,7 @@ from tropom.cli import run
 import oracles
 from helpers import T, prism_arrangement, prism_cells, prism_tom
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PRISM_JSON = json.dumps(prism_tom().to_obj())
 CELLS_JSON = json.dumps(prism_cells().to_obj())
 
@@ -361,10 +365,10 @@ def test_general_mode_check_refuses_too_many_bipartitions(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "cells, count",
     [
-        ({"n": 8, "d": 9, "cells": [[[i, j] for i in range(1, 9) for j in range(1, 10)]]}, "65535"),
-        # general mode searches bipartitions before it builds any uint64 row,
-        # so d = 65 meets the bipartition cap first, not the direction bound
-        ({"n": 2, "d": 65, "cells": [[[1, 65]], [[1, 1]]]}, "73786976294838206463"),
+        ({"n": 3, "d": 14, "cells": [[[i, j] for i in range(1, 4) for j in range(1, 15)]]}, "49146"),
+        # general mode counts kept rows before it builds any uint64 row,
+        # so d = 65 meets the kept-row cap first, not the direction bound
+        ({"n": 2, "d": 65, "cells": [[[1, 65]], [[1, 1]]]}, "73786976294838206460"),
     ],
 )
 def test_general_mode_check_prints_the_bipartition_refusal(monkeypatch, capsys, cells, count):
@@ -372,8 +376,58 @@ def test_general_mode_check_prints_the_bipartition_refusal(monkeypatch, capsys, 
     code, out, err = invoke(monkeypatch, capsys, ["subdiv", "check"], json.dumps(cells))
     assert (code, out) == (2, "")
     assert err == (
-        f"error: a K_({n},{d}) cell has {count} vertex bipartitions, over the cap of 32768\n"
+        f"error: a K_({n},{d}) cell keeps {count} rows over its direction cuts,"
+        " over the cap of 32768\n"
     )
+
+
+@pytest.mark.parametrize("n, d", [(8, 9), (1000, 3)])
+def test_general_mode_check_reports_a_whole_cell(monkeypatch, capsys, n, d):
+    # every direction cut of a whole K_{n,d} leaves some direction uncovered
+    whole = [[i, j] for i in range(1, n + 1) for j in range(1, d + 1)]
+    cells = json.dumps({"n": n, "d": d, "cells": [whole]})
+    code, out, err = invoke(monkeypatch, capsys, ["subdiv", "check"], cells)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "ok": True,
+        "n": n,
+        "d": d,
+        "cells": 1,
+        "triangulation_mode": False,
+        "spanning": {"ok": True, "violations": []},
+        "facets": {"ok": True, "violations": []},
+        "alternating": {"ok": True, "violations": []},
+        "note": "general-mode facets are one-directional bond complements",
+    }
+
+
+HUGE_SHAPES = r"""
+import contextlib, io, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from tropom.cli import run
+for n, d in [(10**13, 3), (1, 10**13)]:
+    err = io.StringIO()
+    sys.stdin = io.StringIO('{"n": %d, "d": %d, "cells": [[[1, 1]]]}' % (n, d))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(["subdiv", "check"])
+    print(code, err.getvalue(), end="")
+"""
+
+
+def test_huge_shapes_are_refused_before_any_row_is_built():
+    # under a 1 GiB address-space limit, so that a row of 10^13 words or
+    # 10^13 direction masks fails at once instead of filling the host
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_SHAPES], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.stdout == (
+        "2 error: K_(10000000000000,3) has 30000000000000 edges, over the cap of 1048576\n"
+        "2 error: K_(1,10000000000000) has 10000000000000 edges, over the cap of 1048576\n"
+    ), proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -381,9 +435,7 @@ def test_general_mode_check_prints_the_bipartition_refusal(monkeypatch, capsys, 
     [
         (["subdiv", "enumerate", "--n", "3000", "--d", "64"], ""),
         (["tom", "dual"], json.dumps({"n": 15000, "d": 2, "types": [[[1]] * 15000, [[2]] * 15000]})),
-        (["subdiv", "check"], json.dumps(
-            {"n": 1000, "d": 3, "cells": [[[i, j] for i in range(1, 1001) for j in (1, 2, 3)]]}
-        )),
+        (["subdiv", "check"], json.dumps({"n": 2, "d": 70, "cells": [[[1, 70]], [[1, 1]]]})),
     ],
 )
 def test_refusals_of_huge_counts_stay_one_short_line(monkeypatch, capsys, argv, text):

@@ -14,8 +14,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SCRIPT = r"""
-import contextlib, io, json, sys
-from tropom.arrangement import random_generic_arrangement
+import contextlib, io, json, random, sys
+from tropom.arrangement import random_arrangement, random_generic_arrangement
 from tropom.cli import run
 
 def step(argv, text, expect=0):
@@ -36,6 +36,11 @@ arr = json.dumps(random_generic_arrangement(4, 3, seed=7).to_obj())
 tri = step(["subdiv", "from-tom"], step(["tom", "from-arrangement"], arr))
 step(["subdiv", "check"], tri)
 step(["subdiv", "check", "--triangulation"], tri)
+# a coarse subdivision: general mode cuts cells that are not trees
+arr = json.dumps(random_arrangement(3, 4, random.Random(7), bound=1).to_obj())
+coarse = step(["subdiv", "from-tom"], step(["tom", "from-arrangement"], arr))
+assert any(len(cell) > 6 for cell in json.loads(coarse)["cells"])
+step(["subdiv", "check"], coarse)
 census = json.loads(step(["subdiv", "enumerate", "--n", "3", "--d", "3"], ""))
 # two triangulations as one collection: its alternating cycles get named
 tris = census["triangulations"]
