@@ -16,7 +16,8 @@ Each program and subcommand is declared once, in `_PROGRAMS`: program ->
 `add_argument` keywords) pairs in order.  Most handlers are `_emit_obj` or
 `_emit_report` around one library call, made through its module's name at
 call time, so a tracer that swaps those names sees every call.  A type set
-is printed from its mask rows by `_emit_types`, everything else by `_emit`.
+is printed from its mask rows by `_emit_types`, everything else by `_emit`;
+both write their text as they build it, one list item or row block at a time.
 A program's parser is built from the table on first use, then reused."""
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import functools
 import itertools
 import json
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import arrangement, axioms, cayley, core, structure, subdivision
 
@@ -50,37 +51,69 @@ def _read_json(path: str | None) -> object:
 
 
 def _emit(obj: object) -> None:
-    """Print `obj` exactly as `print(json.dumps(obj, indent=2))` would.
-
-    CPython 3.11 uses its C encoder only when `indent` is unset, so the
-    indented form runs in pure Python, value by value; `subdiv enumerate
-    --n 4 --d 3` prints 44,880 cells, of which only 432 are distinct.  This
-    writer walks dicts with str keys and lists itself, encodes each distinct
-    list of ints, and each list of such lists, once per indent, and hands
-    everything else to `json.dumps`; a list object that recurs, like a
-    census cell, is found by its identity before its contents are read.
-    Its output must stay byte-identical to `json.dumps(obj, indent=2)`.
-    It prints every object but a type set, which `_emit_types` prints from
-    its rows."""
-    print(_indented(obj, "\n", {}))
+    """Print `obj` exactly as `print(json.dumps(obj, indent=2))` would, and
+    write each list item as soon as `_indented` has built it (dicts are walked
+    value by value), so the largest string held is one item, not the whole
+    text.  The indented form runs in pure Python and the (4,3) census prints
+    44,880 cells, 432 of them distinct, so one memo serves the call: each
+    distinct list of ints, or of such lists, is encoded once per indent, and
+    a list object that recurs is found by its identity first."""
+    sys.stdout.writelines(itertools.chain(_walked(obj, "\n", {}), ["\n"]))
 
 
 def _emit_types(m: core.TomTypeSet) -> None:
     """Print a type set exactly as `_emit(m.to_obj())` would, from its mask
-    rows and without its Type objects: the text of each distinct mask is
-    built once, at the indent of a coordinate, and each row is one join of
-    its masks' texts."""
-    texts = {
-        mask: "[\n        " + ",\n        ".join(map(str, core.elements_of(mask)))
-        + "\n      ]"
-        for mask in set(m.rows.ravel().tolist())
-    }
-    types = ",\n    ".join(
-        "[\n      " + ",\n      ".join(map(texts.__getitem__, row)) + "\n    ]"
-        for row in m.rows.tolist()
-    )
-    body = "[\n    " + types + "\n  ]" if len(m) else "[]"
-    print(f'{{\n  "n": {m.n},\n  "d": {m.d},\n  "types": {body}\n}}')
+    rows, one row block (`axioms._row_blocks`) at a time: each distinct mask's
+    text is built once, and each row is one join of its masks' texts."""
+    # what the layout puts before the first member, between two, after the last:
+    # of the types, of a type's coordinates and of a coordinate's elements
+    first, comma, close = _layout([0, 0], "\n  ", {}, lambda *_: ())
+    r_first, r_comma, r_close = _layout([0, 0], "\n    ", {}, lambda *_: ())
+    e_first, e_comma, e_close = _layout([0, 0], "\n      ", {}, lambda *_: ())
+    texts: dict[int, str] = {}
+
+    def types() -> Iterator[str]:
+        for start, stop in axioms._row_blocks(len(m), m.n):
+            rows = m.rows[start:stop].tolist()
+            for k in set(itertools.chain.from_iterable(rows)) - texts.keys():
+                texts[k] = e_first + e_comma.join(map(str, core.elements_of(k))) + e_close
+            lines = (r_first + r_comma.join(map(texts.get, r)) + r_close for r in rows)
+            yield (comma if start else first) + comma.join(lines)
+        yield close
+
+    obj = {"n": m.n, "d": m.d, "types": m.rows if len(m) else []}
+    pieces = _layout(obj, "\n", {}, lambda v, *at: types() if v is m.rows else _indented(v, *at))
+    sys.stdout.writelines(itertools.chain(pieces, ["\n"]))
+
+
+def _walked(obj: object, newline: str, memo: dict) -> Iterable[str]:
+    """The pieces `_emit` writes for `obj`: a dict with str keys walked value
+    by value, a list item by item, each item built whole by `_indented`."""
+    if type(obj) is list and obj:
+        return _layout(obj, newline, memo, _indented)
+    if _keyed(obj):
+        return _layout(obj, newline, memo, _walked)
+    return (_indented(obj, newline, memo),)
+
+
+def _keyed(obj: object) -> bool:  # a nonempty dict with str keys
+    return type(obj) is dict and bool(obj) and all(type(k) is str for k in obj)
+
+
+def _layout(obj: Iterable, newline: str, memo: dict, value: Callable) -> Iterator[str]:
+    """`obj`, a nonempty list or dict with str keys, in pieces of the layout
+    `json.dumps(indent=2)` gives it below `newline`, the line break plus the
+    current indent; `value(v, inner, memo)` gives each member's text, or its
+    pieces, one indent deeper."""
+    keyed, inner = type(obj) is dict, newline + "  "
+    separator = ("{" if keyed else "[") + inner
+    heads = (json.dumps(k) + ": " for k in obj) if keyed else itertools.repeat("")
+    for head, v in zip(heads, obj.values() if keyed else obj):
+        yield separator + head
+        text = value(v, inner, memo)
+        yield from (text,) if type(text) is str else text
+        separator = "," + inner
+    yield newline + ("}" if keyed else "]")
 
 
 def _indented(obj: object, newline: str, memo: dict) -> str:
@@ -92,12 +125,11 @@ def _indented(obj: object, newline: str, memo: dict) -> str:
         return str(obj)
     if type(obj) is list and obj:
         # a list of ints, or of such lists, met again as the same object
-        # (they all live until the print) is not read twice
+        # (they all live until `_emit` returns) is not read twice
         same = (newline, id(obj))
         text = memo.get(same)
         if text is not None:
             return text
-        inner = newline + "  "
         kinds = set(map(type, obj))
         if kinds == {int}:
             key = (newline, tuple(obj))
@@ -107,20 +139,12 @@ def _indented(obj: object, newline: str, memo: dict) -> str:
             key = None
         text = memo.get(key)
         if text is None:
-            if kinds == {int}:
-                items = map(str, obj)
-            else:
-                items = (_indented(v, inner, memo) for v in obj)
-            text = "[" + inner + ("," + inner).join(items) + newline + "]"
+            text = "".join(_layout(obj, newline, memo, _indented))
             if key is not None:
                 memo[key] = memo[same] = text
         return text
-    if type(obj) is dict and obj and all(type(k) is str for k in obj):
-        inner = newline + "  "
-        body = ("," + inner).join(
-            json.dumps(k) + ": " + _indented(v, inner, memo) for k, v in obj.items()
-        )
-        return "{" + inner + body + newline + "}"
+    if _keyed(obj):
+        return "".join(_layout(obj, newline, memo, _indented))
     if obj is None or type(obj) in (bool, float) or (type(obj) in (list, dict) and not obj):
         # no line break in these, so json's C encoder gives the indented text
         return json.dumps(obj)

@@ -75,6 +75,12 @@ _CUT_ROW_CAP = 1 << 15
 # d directions, so a one-edge input naming K_{10^13,3} would exhaust memory.
 _SHAPE_EDGE_CAP = 1 << 20
 
+
+def _check_edge_count(n: int, d: int) -> None:
+    if n * d > _SHAPE_EDGE_CAP:
+        raise SearchSpaceTooLargeError(f"K_({n},{d}) has {_count_text(n * d)} edges,"
+                                       f" over the cap of {_SHAPE_EDGE_CAP}")
+
 Edge = tuple[int, int]
 
 
@@ -174,9 +180,7 @@ class SubgraphCollection:
         n, d, raw = read_shaped(obj, "a collection", "cells")
         if type(n) is not int or type(d) is not int:
             raise ValueError(f"n and d must be integers, got n={n!r}, d={d!r}")
-        if n * d > _SHAPE_EDGE_CAP:
-            raise SearchSpaceTooLargeError(f"K_({n},{d}) has {_count_text(n * d)} edges,"
-                                           f" over the cap of {_SHAPE_EDGE_CAP}")
+        _check_edge_count(n, d)
         if not isinstance(raw, list) or not raw:
             raise ValueError("cells must be a nonempty array")
         cells = tuple(BipartiteSubgraph.from_obj(entry, n, d) for entry in raw)
@@ -448,6 +452,8 @@ def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
             f"K_({n},{d}) has {_count_text(count)} spanning trees,"
             f" over the cap of {_ENUM_CAP}"
         )
+    _validate_dims(n, d)  # K_(1,d) and K_(n,1) have one tree: refuse them before the edges
+    _check_edge_count(n, d)
     trees = _all_spanning_trees(n, d)
 
     # bitmasks over the trees: clash[a] holds the trees with an alternating
