@@ -52,8 +52,9 @@ that, on whole arrays of rows at once.  So a set is closed under refinement,
 and satisfies surrounding, exactly when it is closed under the 2^d - 2
 two-block refinements (``_two_block_parts``).  The surrounding verdict and
 ``structure.refinement_closure`` use those alone; the witnesses of a failing
-set are still listed over every ordered partition.  ``_refined_blocks``
-feeds all three, at most ``_PAIR_BUDGET`` (row, partition) pairs at a time.
+set are still listed over every ordered partition (``_partition_rows``).
+``_refined_blocks`` feeds all three, at most ``_PAIR_BUDGET`` (row,
+partition) pairs at a time.
 
 Each failure list keeps its first ``_MAX_REPORTED_FAILURES`` entries and
 comes with the number of all failures.
@@ -74,11 +75,11 @@ from .core import (
     Semidigraph,
     TomTypeSet,
     Type,
-    _nonempty_submasks,
     elements_of,
 )
 
-_MAX_PARTITION_DIRECTIONS = 6
+# the two d!-sized tables, linear orders (_latest) and ordered partitions
+# (_partition_rows): 40,320 and 545,835 rows at d = 8
 _MAX_PERMUTATION_DIRECTIONS = 8
 _MAX_TWO_BLOCK_DIRECTIONS = 16
 _PAIR_BUDGET = 1 << 14
@@ -177,22 +178,39 @@ def total_refinements(a: Type) -> frozenset[Type]:
 
 
 @lru_cache(maxsize=None)
-def ordered_partitions(d: int) -> tuple[OrderedPartition, ...]:
-    """Every ordered partition of {1, ..., d}, in a fixed canonical order."""
-    if d > _MAX_PARTITION_DIRECTIONS:
+def _partition_rows(d: int) -> np.ndarray:
+    """Every ordered partition of {1, ..., d} as a row of d masks, parts after
+    leading zeros (the padding _refine_rows ignores), in canonical order: by
+    first part, then the rest alike, spread from the rows of fewer directions."""
+    if d > _MAX_PERMUTATION_DIRECTIONS:
         raise SearchSpaceTooLargeError(
             f"ordered partitions of {d} directions exceed the enumeration cap"
         )
+    if d == 0:
+        return np.zeros((1, 0), dtype=np.uint64)
+    blocks = []
+    for first in range(1, 1 << d):
+        rest = elements_of(((1 << d) - 1) ^ first)
+        spread = np.zeros(1 << len(rest), dtype=np.uint64)
+        for b, j in enumerate(rest):
+            spread[1 << b : 2 << b] = spread[: 1 << b] | np.uint64(1 << (j - 1))
+        tail = spread[_partition_rows(len(rest))]
+        block = np.zeros((len(tail), d), dtype=np.uint64)
+        block[:, d - len(rest) :] = tail
+        block[np.arange(len(tail)), d - 1 - np.count_nonzero(tail, axis=1)] = first
+        blocks.append(block)
+    rows = np.concatenate(blocks)
+    rows.flags.writeable = False  # one cached table serves every caller
+    return rows
 
-    def _gen(remaining: int):
-        if remaining == 0:
-            yield ()
-            return
-        for sub in _nonempty_submasks(remaining):
-            for rest in _gen(remaining & ~sub):
-                yield (sub,) + rest
 
-    return tuple(OrderedPartition(d, parts) for parts in _gen((1 << d) - 1))
+@lru_cache(maxsize=None)
+def ordered_partitions(d: int) -> tuple[OrderedPartition, ...]:
+    """Every ordered partition of {1, ..., d}, in a fixed canonical order."""
+    return tuple(
+        OrderedPartition(d, tuple(p for p in row if p))
+        for row in _partition_rows(d).tolist()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +547,7 @@ def check_surrounding(
         for *_, refined in _refined_blocks(m.rows, _two_block_parts(m.d))
     ):
         return True, (), 0
-    partitions = ordered_partitions(m.d)
-    parts = np.zeros((len(partitions), m.d), dtype=np.uint64)
-    for row, p in zip(parts, partitions):
-        row[m.d - len(p.parts) :] = p.parts
+    parts = _partition_rows(m.d)
     failures = []
     total = 0
     for r, p, refined in _refined_blocks(m.rows, parts):
@@ -540,7 +555,7 @@ def check_surrounding(
         total += len(miss)
         keep = miss[: _MAX_REPORTED_FAILURES - len(failures)]
         failures += [
-            (m.types[x], partitions[y])
+            (m.types[x], OrderedPartition(m.d, tuple(q for q in parts[y].tolist() if q)))
             for x, y in zip(r[keep].tolist(), p[keep].tolist())
         ]
     return False, tuple(failures), total

@@ -5,33 +5,17 @@ nonempty subsets of the direction set {1, ..., d}.  Coordinate subsets are
 stored as bitmasks, bit j-1 standing for direction j; every index that
 crosses the public boundary (JSON, reprs, error payloads, witnesses) is
 1-based.
-
-Semitypes relax types by allowing empty coordinates.  They exist mostly as
-the raw material of duality, which is the composition
-
-    dual = reduction . transpose . completion
-
-``dual`` computes it on mask rows: emptying the coordinates outside a set S
-of positions and then transposing is transposing and then keeping S in
-every column, so its rows are the (K, d) transpose of the set's rows masked
-with each nonempty S, less the rows with an empty column.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 import numpy as np
 
 MAX_DIRECTIONS = 64
-# completion lists K·2^n semitypes.  The largest completion the tests take
-# is a (6,5) arrangement's, 2561·2^6 = 163,904 semitypes; 2^18 admits it,
-# and refuses at once what would run for hours (two types of n = 64
-# coordinates have 2^65 semitypes)
-_COMPLETION_CAP = 1 << 18
 # dual builds K·(2^n - 1) rows of d cells, a block of position sets at a
 # time, so its memory follows the dual's size, not the cells.  For seed-7
 # arrangements, (7,6) builds 1.4·10^7 cells in 0.19 s at a 47 MiB peak RSS,
@@ -124,10 +108,10 @@ def _nonempty_submasks(mask: int) -> list[int]:
         subs.append(sub)
 
 
-def _validate_mask(mask: int, d: int, position: int, allow_empty: bool) -> None:
+def _validate_mask(mask: int, d: int, position: int) -> None:
     if not isinstance(mask, int) or isinstance(mask, bool):
         raise TypeError(f"coordinate {position} is not a bitmask")
-    if mask == 0 and not allow_empty:
+    if mask == 0:
         raise EmptyCoordinateError(position)
     if mask < 0 or mask >> d:
         stray = elements_of(mask >> d)
@@ -154,8 +138,6 @@ def read_shaped(obj: object, what: str, key: str) -> tuple[object, object, objec
 
 
 def _coord_str(mask: int, d: int) -> str:
-    if mask == 0:
-        return "-"
     if d <= 9:
         return "".join(str(j) for j in elements_of(mask))
     return "{" + ",".join(str(j) for j in elements_of(mask)) + "}"
@@ -174,36 +156,30 @@ def _count_text(count: int) -> str:
     return f"about 10^{math.floor(math.log10(count >> shift) + shift * math.log10(2))}"
 
 
-def _read_coords(obj: object, d: int, allow_empty: bool, what: str) -> list[int]:
-    """The masks of a JSON (semi)type, a nonempty list of coordinate lists
-    of 1-based directions: its shape is checked before any element."""
+def _read_coords(obj: object, d: int) -> list[int]:
+    """The masks of a JSON type, a nonempty list of nonempty coordinate
+    lists of 1-based directions: its shape is checked before any element."""
     if not isinstance(obj, list) or not obj:
-        raise ValueError(f"a {what} is a nonempty array of coordinate arrays")
+        raise ValueError("a type is a nonempty array of coordinate arrays")
     for i, coord in enumerate(obj, start=1):
         if not isinstance(coord, list):
             raise ValueError(f"coordinate {i} is not an array")
-        if not coord and not allow_empty:
+        if not coord:
             raise EmptyCoordinateError(i)
     return [mask_from_elements(c, d, i) for i, c in enumerate(obj, start=1)]
 
 
 # ---------------------------------------------------------------------------
-# types and semitypes
-
-
-_S = TypeVar("_S", bound="SemiType")
+# types
 
 
 @dataclass(frozen=True)
-class SemiType:
-    """Like a Type, but coordinates may be empty."""
+class Type:
+    """An (n, d)-type: n nonempty subsets of {1, ..., d} as bitmasks."""
 
     n: int
     d: int
     coords: tuple[int, ...]
-
-    # the one difference from Type, read by validation and by from_obj
-    _allow_empty = True
 
     def __post_init__(self) -> None:
         _validate_dims(self.n, self.d)
@@ -212,16 +188,16 @@ class SemiType:
         if len(self.coords) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(self.coords)}")
         for i, mask in enumerate(self.coords, start=1):
-            _validate_mask(mask, self.d, i, allow_empty=self._allow_empty)
+            _validate_mask(mask, self.d, i)
 
     @classmethod
-    def from_sets(cls: type[_S], n: int, d: int, sets: Iterable[Iterable[int]]) -> _S:
+    def from_sets(cls, n: int, d: int, sets: Iterable[Iterable[int]]) -> "Type":
         coords = tuple(mask_from_elements(s, d, i) for i, s in enumerate(sets, start=1))
         return cls(n, d, coords)
 
     @classmethod
-    def from_obj(cls: type[_S], obj: object, d: int) -> _S:
-        coords = _read_coords(obj, d, cls._allow_empty, cls.__name__.lower())
+    def from_obj(cls, obj: object, d: int) -> "Type":
+        coords = _read_coords(obj, d)
         return cls(len(coords), d, tuple(coords))
 
     def to_obj(self) -> list[list[int]]:
@@ -230,31 +206,11 @@ class SemiType:
     def coord_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(elements_of(m) for m in self.coords)
 
-    def is_total(self) -> bool:
-        """True when no coordinate is empty, i.e. this is an honest type."""
-        return all(self.coords)
-
-    def to_type(self) -> "Type":
-        return Type(self.n, self.d, self.coords)
-
     def __str__(self) -> str:
         return _coords_str(self.coords, self.d)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}{self}"
-
-
-class Type(SemiType):
-    """An (n, d)-type: n nonempty subsets of {1, ..., d} as bitmasks.
-
-    A Type equals only Types: a SemiType with the same coordinates is a
-    different value, and it is not an instance of Type.
-    """
-
-    _allow_empty = False
-
-    def to_semitype(self) -> SemiType:
-        return SemiType(self.n, self.d, self.coords)
+        return f"Type{self}"
 
 
 def make_type(n: int, d: int, coords: Iterable[Iterable[int]]) -> Type:
@@ -289,7 +245,7 @@ class OrderedPartition:
             raise ValueError("an ordered partition needs at least one part")
         seen = 0
         for r, part in enumerate(self.parts, start=1):
-            _validate_mask(part, self.d, r, allow_empty=False)
+            _validate_mask(part, self.d, r)
             if part & seen:
                 raise ValueError(f"part {r} overlaps an earlier part")
             seen |= part
@@ -443,7 +399,7 @@ class TomTypeSet:
             raise ValueError("types must be an array")
         rows = []
         for entry in raw:
-            row = _read_coords(entry, d, False, "type")
+            row = _read_coords(entry, d)
             if len(row) != n:
                 raise ValueError(
                     f"type {_coords_str(row, d)} has {len(row)} coordinates, expected {n}"
@@ -510,7 +466,7 @@ class TomTypeSet:
 
 
 # ---------------------------------------------------------------------------
-# duality: completion, transpose, reduction
+# duality
 
 
 def _transpose_rows(rows: np.ndarray, d: int) -> np.ndarray:
@@ -521,45 +477,18 @@ def _transpose_rows(rows: np.ndarray, d: int) -> np.ndarray:
     return np.bitwise_or.reduce(held * at, axis=2)
 
 
-def transpose(s: SemiType) -> SemiType:
-    """Flip incidences: direction j holds position i iff i's coordinate held j."""
-    rows = _transpose_rows(np.array([s.coords], dtype=np.uint64), s.d)
-    return SemiType(s.d, s.n, tuple(rows[0].tolist()))
-
-
-def completion(m: TomTypeSet) -> frozenset[SemiType]:
-    """All semitypes obtained from members of m by emptying some coordinates."""
-    if len(m) << m.n > _COMPLETION_CAP:
-        raise SearchSpaceTooLargeError(
-            f"completion lists {_count_text(len(m) << m.n)} semitypes,"
-            f" over the cap {_COMPLETION_CAP}"
-        )
-    return frozenset(
-        SemiType(m.n, m.d, tuple(c if k else 0 for c, k in zip(t.coords, keep)))
-        for t in m
-        for keep in itertools.product((False, True), repeat=m.n)
-    )
-
-
-def reduction(
-    semitypes: Iterable[SemiType], n: int | None = None, d: int | None = None
-) -> TomTypeSet:
-    """Keep the semitypes with no empty coordinate, as honest types."""
-    pool = list(semitypes)
-    if n is None or d is None:
-        if not pool:
-            raise ValueError("cannot infer the shape of an empty reduction")
-        n, d = pool[0].n, pool[0].d
-    types = [s.to_type() for s in pool if s.is_total()]
-    return TomTypeSet(n, d, tuple(types))
-
-
 def dual(m: TomTypeSet) -> TomTypeSet:
-    """The dual (d, n) type set: reduce the transposes of the completion,
-    computed on rows: the set's transpose masked with every nonempty set of
-    positions, keeping the rows with no empty column.  The position sets go
-    in blocks of at most axioms._PAIR_BUDGET cells, or of one set; each
-    block's kept keys are deduplicated and merged into those found so far."""
+    """The dual (d, n) type set.
+
+    The paper defines it through semitypes, whose coordinates may be empty:
+    complete the set (every member with some coordinates emptied), transpose
+    each semitype, and keep the transposes with no empty coordinate.
+    Emptying the coordinates outside a set S of positions and then
+    transposing is transposing and then keeping S in every column, so the
+    dual's rows are the set's (K, d) transpose masked with each nonempty S,
+    less the rows with an empty column.  The position sets go in blocks of
+    at most axioms._PAIR_BUDGET cells, or of one set; each block's kept
+    keys are deduplicated and merged into those found so far."""
     from .axioms import _row_blocks  # axioms imports this module
 
     cells = len(m) * ((1 << m.n) - 1) * m.d

@@ -131,6 +131,29 @@ def axioms_ok(types: set, n: int, d: int) -> bool:
     )
 
 
+# ------------------------------------------------------------------ duality
+
+
+def dual_naive(types: set, n: int, d: int) -> set:
+    """The paper's dual of a set of (n, d)-types, as a set of (d, n)-types:
+    complete it (every member with some coordinates emptied, giving
+    semitypes), transpose each semitype (direction j holds the positions
+    whose coordinate holds j), and reduce (keep the transposes with no
+    empty coordinate)."""
+    completion = set()
+    for a in types:
+        for keep in itertools.product((False, True), repeat=n):
+            completion.add(tuple(c if k else frozenset() for c, k in zip(a, keep)))
+    transposes = {
+        tuple(
+            frozenset(i for i in range(1, n + 1) if j in s[i - 1])
+            for j in range(1, d + 1)
+        )
+        for s in completion
+    }
+    return {t for t in transposes if all(t)}
+
+
 # ------------------------------------------------------- subdivision facets
 #
 # A cell here is a frozenset of 1-based edges (i, j) of K_{n,d}.

@@ -1,4 +1,4 @@
-"""Types, semitypes, type sets, and the duality operations."""
+"""Types, type sets, and duality."""
 
 from __future__ import annotations
 
@@ -14,22 +14,19 @@ from tropom import (
     OrderedPartition,
     OutOfRangeError,
     SearchSpaceTooLargeError,
-    SemiType,
     SubgraphCollection,
     TomTypeSet,
     TropomError,
     Type,
     arrangement_tom,
-    completion,
     constant_type,
     dual,
     elements_of,
     mask_from_elements,
     make_type,
     random_arrangement,
-    reduction,
-    transpose,
 )
+import oracles
 from helpers import T, prism_tom, typeset
 
 
@@ -85,29 +82,12 @@ def test_constant_type():
         constant_type(2, 3, 4)
 
 
-def test_semitype_allows_and_reports_empties():
-    s = SemiType(2, 3, (0b110, 0))
-    assert not s.is_total()
-    assert str(s) == "(23,-)"
-    with pytest.raises(EmptyCoordinateError):
-        s.to_type()
-    t = SemiType(2, 3, (0b110, 0b1))
-    assert t.is_total()
-    assert t.to_type() == T(3, "23", "1")
-
-
 def test_type_and_semitype_stay_distinct_values():
-    t, s = Type(2, 3, (0b110, 0b1)), SemiType(2, 3, (0b110, 0b1))
-    assert t != s and s != t
-    assert not isinstance(s, Type)
-    assert (repr(t), repr(s)) == ("Type(23,1)", "SemiType(23,1)")
-    assert SemiType.from_obj([[2, 3], []], 3) == SemiType(2, 3, (0b110, 0))
+    assert repr(Type(2, 3, (0b110, 0b1))) == "Type(23,1)"
     with pytest.raises(EmptyCoordinateError):
         Type.from_obj([[2, 3], []], 3)
     with pytest.raises(ValueError, match="^a type is"):
         Type.from_obj([], 3)
-    with pytest.raises(ValueError, match="^a semitype is"):
-        SemiType.from_obj([], 3)
 
 
 def test_ordered_partition_validation():
@@ -282,28 +262,6 @@ def test_typeset_equality_and_hash_read_the_rows():
         parsed.rows = m.rows
 
 
-def test_transpose_flips_incidences():
-    t = transpose(T(3, "123", "1"))
-    assert t == SemiType.from_sets(3, 2, [[1, 2], [1], [1]])
-    back = transpose(t)
-    assert back == T(3, "123", "1").to_semitype()
-
-
-def test_completion_adds_every_erasure():
-    m = prism_tom()
-    comp = completion(m)
-    expected = set()
-    for t in m:
-        for pattern in range(4):
-            expected.add(
-                SemiType(2, 3, tuple(
-                    c if pattern >> i & 1 else 0 for i, c in enumerate(t.coords)
-                ))
-            )
-    assert comp == expected
-    assert len(comp) == 32
-
-
 def test_refused_counts_print_exactly_up_to_twenty_digits():
     assert core._count_text(10**20 - 1) == "99999999999999999999"
     assert core._count_text(10**20) == "about 10^20"
@@ -311,21 +269,8 @@ def test_refused_counts_print_exactly_up_to_twenty_digits():
     # 2^15000 has 4516 digits, past what str() of an int takes
     wide = TomTypeSet.from_obj({"n": 15000, "d": 2, "types": [[[1]] * 15000]})
     with pytest.raises(SearchSpaceTooLargeError) as refused:
-        completion(wide)
-    assert str(refused.value) == (
-        f"completion lists about 10^4515 semitypes, over the cap {core._COMPLETION_CAP}"
-    )
-
-
-def test_reduction_inverts_completion():
-    m = prism_tom()
-    assert reduction(completion(m)) == m
-
-
-def test_reduction_of_empty_pool_needs_shape():
-    assert len(reduction([], n=2, d=2)) == 0
-    with pytest.raises(ValueError):
-        reduction([])
+        dual(wide)
+    assert str(refused.value) == "dual builds about 10^4515 cells, over the cap 67108864"
 
 
 def test_dual_of_rank_one_set():
@@ -346,8 +291,10 @@ def test_dual_is_the_reduced_transpose_of_the_completion():
         for d in range(1, 5):
             cases.append(arrangement_tom(random_arrangement(n, d, rng, bound=1)))
     for m in cases:
-        expected = reduction((transpose(s) for s in completion(m)), n=m.d, d=m.n)
-        assert dual(m) == expected, m
+        got = dual(m)
+        assert (got.n, got.d) == (m.d, m.n)
+        expected = oracles.dual_naive({oracles.as_naive(t) for t in m}, m.n, m.d)
+        assert {oracles.as_naive(t) for t in got} == expected, m
 
 
 def test_dual_in_small_blocks_matches_one_block(monkeypatch):

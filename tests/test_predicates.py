@@ -11,7 +11,6 @@ import pytest
 from tropom import (
     BipartiteSubgraph,
     SearchSpaceTooLargeError,
-    SemiType,
     TomTypeSet,
     Type,
     arrangement_tom,
@@ -36,16 +35,15 @@ def _random_type(rng: random.Random, n: int, d: int) -> Type:
     return Type(n, d, tuple(rng.randint(1, (1 << d) - 1) for _ in range(n)))
 
 
-def _components_bfs(a: Type) -> tuple[int, ...]:
-    """Breadth-first search over directions joined by a shared coordinate,
-    started from each unvisited direction in increasing order."""
-    adjacent = {
-        j: {k for c in a.coord_sets() if j in c for k in c}
-        for j in range(1, a.d + 1)
-    }
+def _components_bfs(coords: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """Breadth-first search over the directions 1..d joined by a shared
+    coordinate mask (empty ones allowed), started from each unvisited
+    direction in increasing order."""
+    held = [{j for j in range(1, d + 1) if c >> (j - 1) & 1} for c in coords]
+    adjacent = {j: {k for c in held if j in c for k in c} for j in range(1, d + 1)}
     visited: set[int] = set()
     comps = []
-    for start in range(1, a.d + 1):
+    for start in range(1, d + 1):
         if start in visited:
             continue
         queue, comp = [start], {start}
@@ -63,7 +61,7 @@ def test_direction_components_match_breadth_first_search():
     rng = random.Random(71)
     for _ in range(3000):
         a = _random_type(rng, rng.randint(1, 5), rng.randint(1, 7))
-        assert direction_components(a) == _components_bfs(a)
+        assert direction_components(a) == _components_bfs(a.coords, a.d)
     # the vertex test on rows that may hold empty coordinates: a row spans
     # when none is empty and the search finds one component
     rng = random.Random(79)
@@ -75,7 +73,7 @@ def test_direction_components_match_breadth_first_search():
             rng.choice([0, 1 << rng.randrange(d), rng.randint(1, (1 << d) - 1), (1 << d) - 1])
             for _ in range(n)
         )
-        want = all(row) and len(_components_bfs(SemiType(n, d, row))) == 1
+        want = all(row) and len(_components_bfs(row, d)) == 1
         assert structure._spans(row, d) == want, (row, d)
         cases = {"n=1": n == 1, "d=1": d == 1, "d=64": d == 64, "empty": 0 in row}
         seen.update((case, want) for case, hit in cases.items() if hit)

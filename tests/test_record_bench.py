@@ -1,8 +1,10 @@
-"""tools/record_bench.py records only runs whose every step passed."""
+"""tools/record_bench.py records only runs whose every step passed, and
+walls whose every verdict is ok."""
 
 from __future__ import annotations
 
 import importlib.util
+import hashlib
 import json
 import os
 import subprocess
@@ -21,10 +23,24 @@ def _load():
     return module
 
 
-def _record(monkeypatch, tmp_path, runs: dict) -> tuple[int, list[str]]:
+def _passing(wall: dict) -> dict:
+    """The report of a wall that counts."""
+    if "triangulations" in wall:
+        return {"ok": True, "triangulations": wall["triangulations"], "injective": True}
+    return {"ok": True}
+
+
+def _record(monkeypatch, tmp_path, runs: dict, walls: dict | None = None) -> tuple[int, list[str]]:
     """main() in tmp_path over workloads whose runs are stubbed: runs maps
-    each name to its result and its failure reasons."""
+    each name to its result and its failure reasons; walls maps a wall's
+    name to its stdout and exit code, and the other walls pass."""
     module = _load()
+
+    def run_wall(wall):
+        stdout, code = (walls or {}).get(wall["name"], (json.dumps(_passing(wall)).encode(), 0))
+        return {"wall_s": 1.0, "exit_code": code, "stdout_bytes": len(stdout)}, stdout
+
+    monkeypatch.setattr(module, "run_wall", run_wall)
     bench = {"command": ["python3", "run.py"], "run_seconds": 1,
              "workloads": [{"name": name} for name in runs]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
@@ -63,6 +79,46 @@ def test_passing_runs_are_written(monkeypatch, tmp_path):
     assert (code, files) == (0, ["BENCHMARK.json", "BENCH_99.json"])
     record = json.loads((tmp_path / "BENCH_99.json").read_text())
     assert record["workloads"]["good"]["failed"] == 0
+    names = ["verdict-5x6", "verdict-6x5", "probe-3x4", "probe-2x6"]
+    assert list(record["walls"]) == names
+    assert record["walls"]["probe-3x4"]["exit_code"] == 0
+
+
+@pytest.mark.parametrize(
+    "name, report, code, reason",
+    [
+        ("verdict-6x5", {"ok": False}, 1, "exit code 1"),
+        ("verdict-6x5", {"ok": False}, 0, "the verdict is not ok"),
+        ("verdict-5x6", None, 0, "stdout is not JSON"),
+        ("probe-3x4", {"ok": False, "triangulations": 4488, "injective": False}, 0,
+         "the verdict is not ok"),
+        ("probe-3x4", {"ok": True, "triangulations": 4488, "injective": False}, 0,
+         "the probe is not injective over 4488 triangulations"),
+        ("probe-2x6", {"ok": True, "triangulations": 719, "injective": True}, 0,
+         "the probe is not injective over 720 triangulations"),
+    ],
+)
+def test_a_failing_wall_writes_no_file(monkeypatch, tmp_path, capsys, name, report, code, reason):
+    stdout = b"not json" if report is None else json.dumps(report).encode()
+    runs = {"good": (_result(0), [])}
+    assert _record(monkeypatch, tmp_path, runs, {name: (stdout, code)}) == (1, ["BENCHMARK.json"])
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {name}: {reason}"
+
+
+def test_a_wall_runs_its_pipeline_in_fresh_processes(monkeypatch):
+    module = _load()
+    monkeypatch.chdir(ROOT)
+    wall = {"name": "verdict-2x3", "arrangement": [2, 3], "commands": module._VERDICT}
+    measured, stdout = module.run_wall(wall)
+    assert json.loads(stdout)["ok"] is True
+    assert measured["command"] == "tom from-arrangement | tom check"
+    assert measured["exit_code"] == 0 and measured["wall_s"] > 0
+    assert measured["stdout_sha256"] == hashlib.sha256(stdout).hexdigest()
+    assert measured["stdout_bytes"] == len(stdout)
+    assert module.wall_failure(wall, measured, stdout) is None
+    # a stage that fails fails the pipeline
+    measured, _ = module.run_wall(dict(wall, commands=[["tom", "frobnicate"], ["tom", "check"]]))
+    assert measured["exit_code"] == 2
 
 
 def test_the_record_says_whether_samples_wrote_bytecode(monkeypatch, tmp_path):

@@ -12,20 +12,47 @@ details report (Python, numpy, core count, CPU, commit, SHA-256 of
 ``src/``) and whether the sample interpreters could write bytecode
 (``PYTHONDONTWRITEBYTECODE`` unset): compiling every module makes the
 import of ``tropom.cli`` more than twice as slow, which moves ``setup_s``.
-A workload whose result is not correct, or has failed steps, is
-named with its first failure, and no file is written (exit 1).  Standard
-library only.
+
+Then it times the walls, the CLI pipelines of ``WALLS``, once each, every
+program of a pipeline in a fresh ``python -m tropom.cli`` process reading
+the one before it through a pipe: ``tom from-arrangement | tom check`` on
+``random_generic_arrangement(n, d, seed=7)`` (generated before the clock
+starts) and ``conjecture probe``.  Under the ``walls`` key it writes each
+one's wall time, exit code (the first nonzero one of the pipeline, else 0),
+and the SHA-256 and byte count of its stdout.
+
+A workload whose result is not correct, or has failed steps, is named with
+its first failure, and so is a wall whose verdict is not ``ok`` (or whose
+probe is not ``ok`` and injective over the expected number of
+triangulations); then no file is written (exit 1).  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 
 SEED = 7
+_VERDICT = [["tom", "from-arrangement"], ["tom", "check"]]
+# a probe wall names the number of triangulations its report must list
+WALLS = [
+    {"name": "verdict-5x6", "arrangement": [5, 6], "commands": _VERDICT},
+    {"name": "verdict-6x5", "arrangement": [6, 5], "commands": _VERDICT},
+    {"name": "probe-3x4", "commands": [["conjecture", "probe", "--n", "3", "--d", "4"]],
+     "triangulations": 4488},
+    {"name": "probe-2x6", "commands": [["conjecture", "probe", "--n", "2", "--d", "6"]],
+     "triangulations": 720},
+]
+_ARRANGEMENT = (
+    "import json, sys; from tropom import random_generic_arrangement as r;"
+    " json.dump(r({}, {}, seed={}).to_obj(), sys.stdout)"
+)
 
 
 def run_workload(command: list[str], name: str, seconds: float) -> tuple[dict, dict]:
@@ -39,6 +66,55 @@ def run_workload(command: list[str], name: str, seconds: float) -> tuple[dict, d
         raise RuntimeError(f"exited {proc.returncode}: {proc.stderr[-2000:]}")
     *_, details, result = proc.stdout.splitlines()
     return json.loads(result), json.loads(details)["details"]
+
+
+def run_wall(wall: dict) -> tuple[dict, bytes]:
+    """One timed run of a wall's pipeline, and its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath("src"))
+    with tempfile.TemporaryFile() as stdin:
+        if "arrangement" in wall:
+            code = _ARRANGEMENT.format(*wall["arrangement"], SEED)
+            made = subprocess.run([sys.executable, "-c", code], env=env, stdout=stdin)
+            if made.returncode != 0:
+                raise RuntimeError(f"the arrangement exited {made.returncode}")
+            stdin.seek(0)
+        start = time.monotonic()
+        procs: list[subprocess.Popen] = []
+        for command in wall["commands"]:
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "tropom.cli", *command],
+                stdin=procs[-1].stdout if procs else stdin, stdout=subprocess.PIPE, env=env,
+            ))
+            if len(procs) > 1:
+                procs[-2].stdout.close()  # the reader now holds the pipe alone
+        stdout = procs[-1].communicate()[0]
+        codes = [p.wait() for p in procs]
+        wall_s = time.monotonic() - start
+    return {
+        "command": " | ".join(" ".join(c) for c in wall["commands"]),
+        "wall_s": round(wall_s, 3),
+        "exit_code": next((c for c in codes if c), 0),
+        "stdout_sha256": hashlib.sha256(stdout).hexdigest(),
+        "stdout_bytes": len(stdout),
+    }, stdout
+
+
+def wall_failure(wall: dict, measured: dict, stdout: bytes) -> str | None:
+    """Why a wall's run does not count, or None when it does."""
+    if measured["exit_code"]:
+        return f"exit code {measured['exit_code']}"
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return "stdout is not JSON"
+    if not isinstance(report, dict) or report.get("ok") is not True:
+        return "the verdict is not ok"
+    want = wall.get("triangulations")
+    if want is not None and (report.get("injective"), report.get("triangulations")) != (
+        True, want
+    ):
+        return f"the probe is not injective over {want} triangulations"
+    return None
 
 
 def main() -> int:
@@ -66,6 +142,20 @@ def main() -> int:
         machine["writes_bytecode"] = not os.environ.get("PYTHONDONTWRITEBYTECODE")
         record.setdefault("machine", machine)
         record["workloads"][name] = {**result, "details": details}
+    record["walls"] = {}
+    for wall in WALLS:
+        name = wall["name"]
+        print(f"running {name}", file=sys.stderr)
+        try:
+            measured, stdout = run_wall(wall)
+        except (RuntimeError, OSError) as exc:
+            print(f"error: {name}: {exc}", file=sys.stderr)
+            return 1
+        reason = wall_failure(wall, measured, stdout)
+        if reason:
+            print(f"error: {name}: {reason}", file=sys.stderr)
+            return 1
+        record["walls"][name] = measured
     path = f"BENCH_{args.number}.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
