@@ -16,8 +16,9 @@ Each program and subcommand is declared once, in `_PROGRAMS`: program ->
 `add_argument` keywords) pairs in order.  Most handlers are `_emit_obj` or
 `_emit_report` around one library call, made through its module's name at
 call time, so a tracer that swaps those names sees every call.  A type set
-is printed from its mask rows by `_emit_types`, everything else by `_emit`;
-both write their text as they build it, one list item or row block at a time.
+is printed from its mask rows by `_emit_types`, the census from one text per
+distinct cell by `_emit_census`, everything else by `_emit`; all three write
+their text as they build it, one list item or row block at a time.
 A program's parser is built from the table on first use, then reused."""
 
 from __future__ import annotations
@@ -54,10 +55,9 @@ def _emit(obj: object) -> None:
     """Print `obj` exactly as `print(json.dumps(obj, indent=2))` would, and
     write each list item as soon as `_indented` has built it (dicts are walked
     value by value), so the largest string held is one item, not the whole
-    text.  The indented form runs in pure Python and the (4,3) census prints
-    44,880 cells, 432 of them distinct, so one memo serves the call: each
-    distinct list of ints, or of such lists, is encoded once per indent, and
-    a list object that recurs is found by its identity first."""
+    text.  One memo serves the call: each distinct list of ints, or of such
+    lists, is encoded once per indent, and a list object that recurs is found
+    by its identity first."""
     sys.stdout.writelines(itertools.chain(_walked(obj, "\n", {}), ["\n"]))
 
 
@@ -83,6 +83,23 @@ def _emit_types(m: core.TomTypeSet) -> None:
 
     obj = {"n": m.n, "d": m.d, "types": m.rows if len(m) else []}
     pieces = _layout(obj, "\n", {}, lambda v, *at: types() if v is m.rows else _indented(v, *at))
+    sys.stdout.writelines(itertools.chain(pieces, ["\n"]))
+
+
+def _emit_census(n: int, d: int, tris: Sequence[subdivision.SubgraphCollection]) -> None:
+    """Print the census exactly as `_emit` would print its object, one
+    triangulation at a time: each distinct cell's text is built once, and
+    each triangulation is one join of its cells' texts."""
+    first, comma, close = _layout([0, 0], "\n    ", {}, lambda *_: ())
+    cells = {c.edges: c for t in tris for c in t.cells}  # one text per distinct cell
+    texts = {k: _indented(c.to_obj(), "\n      ", {}) for k, c in cells.items()}
+
+    def triangulation(t: subdivision.SubgraphCollection, *_) -> str:
+        return first + comma.join([texts[c.edges] for c in t.cells]) + close
+
+    obj = {"n": n, "d": d, "count": len(tris), "triangulations": tris}
+    pieces = _layout(obj, "\n", {}, lambda v, *at: _layout(v, *at, triangulation)
+                     if v is tris else _indented(v, *at))
     sys.stdout.writelines(itertools.chain(pieces, ["\n"]))
 
 
@@ -208,12 +225,10 @@ def _eliminate(args: argparse.Namespace) -> int:
 
 def _enumerate(args: argparse.Namespace) -> int:
     tris = subdivision.enumerate_triangulations(args.n, args.d)
-    obj: dict = {"n": args.n, "d": args.d, "count": len(tris)}
-    if not args.count:
-        # the census shares its cells: convert each distinct one once
-        cells = {c: c.to_obj() for c in {c for t in tris for c in t.cells}}
-        obj["triangulations"] = [[cells[c] for c in t.cells] for t in tris]
-    _emit(obj)
+    if args.count:
+        _emit({"n": args.n, "d": args.d, "count": len(tris)})
+    else:
+        _emit_census(args.n, args.d, tris)
     return 0
 
 

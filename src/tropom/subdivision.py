@@ -176,6 +176,15 @@ class SubgraphCollection:
         )
 
     @classmethod
+    def _canonical(cls, n: int, d: int,
+                   cells: tuple[BipartiteSubgraph, ...]) -> "SubgraphCollection":
+        """A collection of distinct cells of K_{n,d} given in edge-list order,
+        made without ``__post_init__``'s pooling and sort."""
+        made = object.__new__(cls)
+        made.__dict__.update(n=n, d=d, cells=cells)
+        return made
+
+    @classmethod
     def from_obj(cls, obj: object) -> "SubgraphCollection":
         n, d, raw = read_shaped(obj, "a collection", "cells")
         if type(n) is not int or type(d) is not int:
@@ -412,17 +421,18 @@ def require_triangulation(c: SubgraphCollection) -> None:
         raise NotATriangulationError("the collection fails the triangulation conditions")
 
 
-def triangulation_types(c: SubgraphCollection) -> TomTypeSet:
-    """The type set of a triangulation: all row-subset selections of cells.
+def _cell_types(cell: BipartiteSubgraph) -> Iterator[tuple[int, ...]]:
+    """A cell's types as mask rows: each coordinate independently picks a
+    nonempty subset of the cell's row."""
+    return itertools.product(*map(_nonempty_submasks, cell.rows))
 
-    For each cell, each coordinate independently picks a nonempty subset of
-    the cell's incident directions; the results are pooled over all cells.
-    """
+
+def triangulation_types(c: SubgraphCollection) -> TomTypeSet:
+    """The type set of a triangulation: its cells' types (``_cell_types``),
+    pooled."""
     require_triangulation(c)
-    combos: set[tuple[int, ...]] = set()
-    for cell in c.cells:
-        combos.update(itertools.product(*map(_nonempty_submasks, cell.rows)))
-    return TomTypeSet._from_rows(c.n, c.d, np.array(list(combos), dtype=np.uint64))
+    rows = set(itertools.chain.from_iterable(map(_cell_types, c.cells)))
+    return TomTypeSet._from_rows(c.n, c.d, np.array(list(rows), dtype=np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +447,20 @@ def _all_spanning_trees(n: int, d: int) -> list[BipartiteSubgraph]:
     return [cell for cell in cells if _spans(cell.rows, d)]
 
 
-def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
-    """Every triangulation of the product of simplices, canonically ordered.
+def _census(n: int, d: int) -> tuple[list[BipartiteSubgraph], list[tuple[int, ...]]]:
+    """The spanning trees of K_{n,d} in edge-list order, and every
+    triangulation as the sorted tuple of its trees' indices, in order.
 
-    Depth-first facet matching: seed each spanning tree, repeatedly find the
-    first unmatched interior facet and branch over the compatible trees after
-    the seed that complete it, so each triangulation is produced once, from
-    its first tree.  Sets of trees are bitmasks over their indices.
-    """
+    Trees whose interiors do not overlap (no two with an alternating cycle)
+    hold an interior facet at most twice, a triangulation each one exactly
+    twice.  A facet's id stands for the bitmask of the trees holding it
+    (distinct facets held by the same trees would make each of those trees
+    their union, and an interior facet lies in two trees or more).  A
+    partial triangulation keeps ``open``, the XOR of its trees' facet masks:
+    the facets it holds once.  Seeded at each tree, it matches its lowest
+    open facet with each tree after the seed that holds it and clashes with
+    none chosen, and is complete when nothing is open; so each
+    triangulation is found once, from its first tree."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     if (count := n ** (d - 1) * d ** (n - 1)) > _ENUM_CAP:
@@ -457,40 +473,44 @@ def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
     trees = _all_spanning_trees(n, d)
 
     # bitmasks over the trees: clash[a] holds the trees with an alternating
-    # cycle against tree a, internal_facets[t] the other trees that hold each
-    # interior facet of tree t (a tree holds it when it is the facet plus an edge)
+    # cycle against tree a, holders[f] the trees that hold facet f
     rows, facets, owner = _interior_facets(trees, n, d, triangulation=True)
     clash = [
         int.from_bytes(row.tobytes(), "little")
         for _, bad in _bad_cycles(rows, _planes(rows, d))
         for row in bad
     ]
-    internal_facets: list[list[int]] = [[] for _ in trees]
-    for ti, others in zip(owner.tolist(), _facet_holders(facets, owner, rows)):
-        internal_facets[ti].append(others)
+    ids: dict[int, int] = {}
+    facet_masks = [0] * len(trees)
+    for t, others in zip(owner.tolist(), _facet_holders(facets, owner, rows)):
+        facet_masks[t] |= 1 << ids.setdefault(others | 1 << t, len(ids))
+    holders, found = list(ids), []
 
-    results: set[int] = set()
+    def extend(taken: int, open_: int, path: tuple[int, ...]) -> None:
+        if not open_:
+            found.append(path)
+            return
+        candidates = holders[(open_ & -open_).bit_length() - 1] & ~taken
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            t = low.bit_length() - 1
+            extend(taken | low | clash[t], open_ ^ facet_masks[t], (*path, t))
 
-    def extend(seed: int, chosen: int) -> None:
-        # elements_of lists 1-based bit positions: tree t is bit t - 1
-        for ti in elements_of(chosen):
-            for others in internal_facets[ti - 1]:
-                if others & chosen:
-                    continue
-                # unmatched facet: branch over its other owners after the seed
-                for cand in elements_of(others & -(2 << seed)):
-                    if not clash[cand - 1] & chosen:
-                        extend(seed, chosen | 1 << (cand - 1))
-                return
-        results.add(chosen)
-
+    # taken: the trees chosen, those up to the seed, and those clashing with one chosen
     for seed in range(len(trees)):
-        extend(seed, 1 << seed)
+        extend((2 << seed) - 1 | clash[seed], facet_masks[seed], (seed,))
+    return trees, sorted(map(tuple, map(sorted, found)))
 
-    # the trees are in edge-list order, so tree indices sort like edge lists
+
+def enumerate_triangulations(n: int, d: int) -> tuple[SubgraphCollection, ...]:
+    """Every triangulation of the product of simplices, canonically ordered:
+    the census of ``_census``, its trees in edge-list order, so tree indices
+    sort like edge lists."""
+    trees, census = _census(n, d)
     return tuple(
-        SubgraphCollection(n, d, tuple(trees[ti - 1] for ti in combo))
-        for combo in sorted(map(elements_of, results))
+        SubgraphCollection._canonical(n, d, tuple(map(trees.__getitem__, combo)))
+        for combo in census
     )
 
 
@@ -530,13 +550,16 @@ class ProbeReport:
 
 def conjecture_probe(n: int, d: int) -> ProbeReport:
     """Check that every triangulation's type set satisfies the axioms and
-    that distinct triangulations give distinct type sets."""
-    tris = enumerate_triangulations(n, d)
+    that distinct triangulations give distinct type sets.  The census's
+    triangulations pass ``require_triangulation`` by construction, so each
+    type set is pooled from its trees' types, built once a tree."""
+    trees, census = _census(n, d)
+    types = [np.array(list(_cell_types(tree)), dtype=np.uint64) for tree in trees]
     failures: list[tuple[int, AxiomReport]] = []
     seen: dict[bytes, int] = {}
     collisions: list[tuple[int, int]] = []
-    for idx, tri in enumerate(tris, start=1):
-        tom = triangulation_types(tri)
+    for idx, combo in enumerate(census, start=1):
+        tom = TomTypeSet._from_rows(n, d, np.concatenate([types[t] for t in combo]))
         report = check_axioms(tom)
         if not report.ok:
             failures.append((idx, report))
@@ -546,7 +569,7 @@ def conjecture_probe(n: int, d: int) -> ProbeReport:
     return ProbeReport(
         n=n,
         d=d,
-        triangulation_count=len(tris),
+        triangulation_count=len(census),
         axiom_failures=tuple(failures),
         injective=not collisions,
         collisions=tuple(collisions),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -190,6 +191,22 @@ def test_subdiv_enumerate_full(monkeypatch, capsys):
     assert len(obj["triangulations"]) == 2
 
 
+# sha256 of the (3,4) and (2,6) census printouts, taken before the census
+# moved to tree indices; perfbench pins the (4,3) one
+CENSUS_DIGESTS = {
+    (3, 4): "6dec87a51328362b6b3a6cb629649ba86b83bac25aa9aa1da1e2a7abfdc450d8",
+    (2, 6): "81dee64348c1fcfa8a7985beebc8435c6d02cd03c7920e56197f5a9585286d16",
+}
+
+
+@pytest.mark.parametrize("n, d", sorted(CENSUS_DIGESTS))
+def test_subdiv_enumerate_prints_the_pinned_census(n, d, monkeypatch, capsys):
+    argv = ["subdiv", "enumerate", "--n", str(n), "--d", str(d)]
+    code, out, _ = invoke(monkeypatch, capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_DIGESTS[n, d]
+
+
 def test_conjecture_probe(monkeypatch, capsys):
     code, out, _ = invoke(
         monkeypatch, capsys, ["conjecture", "probe", "--n", "2", "--d", "3"]
@@ -259,7 +276,7 @@ def test_from_arrangement_takes_six_directions(monkeypatch, capsys):
         assert type_of_point(arr, p) == t
 
 
-def test_dual_refuses_a_completion_over_the_cap(monkeypatch, capsys):
+def test_dual_refuses_a_set_over_the_dual_cap(monkeypatch, capsys):
     wide = json.dumps({"n": 64, "d": 2, "types": [[[1]] * 64, [[2]] * 64]})
     code, out, err = invoke(monkeypatch, capsys, ["tom", "dual"], wide)
     assert (code, out) == (2, "")

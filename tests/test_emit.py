@@ -78,10 +78,11 @@ def test_writer_matches_json_on_edge_cases(obj, capsys):
 
 def _run_recorded(monkeypatch, capsys, argv, stdin_text=""):
     """Run one command; return its stdout and the objects it emitted: those
-    handed to `_emit`, and the `to_obj()` of each type set handed to the
-    row writer `_emit_types`."""
+    handed to `_emit`, the `to_obj()` of each type set handed to the row
+    writer `_emit_types`, and the object the census writer `_emit_census`
+    prints, read from its cells' edge lists."""
     seen = []
-    emit, emit_types = cli._emit, cli._emit_types
+    emit, emit_types, emit_census = cli._emit, cli._emit_types, cli._emit_census
 
     def recording(obj):
         seen.append(obj)
@@ -91,12 +92,19 @@ def _run_recorded(monkeypatch, capsys, argv, stdin_text=""):
         seen.append(m.to_obj())
         emit_types(m)
 
+    def recording_census(n, d, tris):
+        cells = [[[list(e) for e in c.edge_list()] for c in t.cells] for t in tris]
+        seen.append({"n": n, "d": d, "count": len(tris), "triangulations": cells})
+        emit_census(n, d, tris)
+
     monkeypatch.setattr(cli, "_emit", recording)
     monkeypatch.setattr(cli, "_emit_types", recording_types)
+    monkeypatch.setattr(cli, "_emit_census", recording_census)
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
     run(argv)
     monkeypatch.setattr(cli, "_emit", emit)
     monkeypatch.setattr(cli, "_emit_types", emit_types)
+    monkeypatch.setattr(cli, "_emit_census", emit_census)
     return capsys.readouterr().out, seen
 
 

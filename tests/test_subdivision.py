@@ -144,8 +144,8 @@ def test_triangulation_types_rejects_non_triangulations():
 
 def test_census_counts_against_oracles():
     assert len(enumerate_triangulations(2, 2)) == 2
-    assert len(enumerate_triangulations(2, 3)) == oracles.transitive_tournament_count(3)
-    assert len(enumerate_triangulations(2, 4)) == oracles.transitive_tournament_count(4)
+    for d in range(1, 7):
+        assert len(enumerate_triangulations(2, d)) == oracles.transitive_tournament_count(d)
 
 
 def test_census_matches_exact_geometry():
@@ -157,10 +157,12 @@ def test_census_matches_exact_geometry():
 
 
 def test_census_entries_are_valid_and_distinct():
-    tris = enumerate_triangulations(2, 3)
-    assert len(set(tris)) == len(tris)
-    for c in tris:
-        assert check_subdivision(c, triangulation=True).ok
+    # the probe relies on this instead of checking each triangulation again
+    for n, d in ((2, 3), (3, 3), (2, 4), (2, 5)):
+        tris = enumerate_triangulations(n, d)
+        assert len(set(tris)) == len(tris)
+        for c in tris:
+            assert check_subdivision(c, triangulation=True).ok, (n, d)
 
 
 def test_census_asks_each_tree_pair_once(monkeypatch):
@@ -201,6 +203,16 @@ def test_probe_small_shapes():
         assert not report.axiom_failures
     assert conjecture_probe(2, 3).triangulation_count == 6
     assert conjecture_probe(2, 2).triangulation_count == 2
+
+
+@pytest.mark.parametrize("n,d", [(3, 3), (2, 4), (2, 5)])
+def test_probe_types_are_the_triangulation_types(n, d, monkeypatch):
+    # the probe pools its trees' types without the triangulation check
+    checked = []
+    check = subdivision.check_axioms
+    monkeypatch.setattr(subdivision, "check_axioms", lambda m: checked.append(m) or check(m))
+    assert conjecture_probe(n, d).ok
+    assert checked == [triangulation_types(c) for c in enumerate_triangulations(n, d)]
 
 
 def test_census_is_in_edge_list_order():
