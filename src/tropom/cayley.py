@@ -24,9 +24,11 @@ of those points, and a rhombus's midlines join midpoints of its edges,
 read off the same map.
 
 Every polygon corner is a lattice point, so polygons, areas and the overlap
-tests run on plain ints.  The only other points are the pseudoline segment
+check run on plain ints.  The only other points are the pseudoline segment
 ends: edge midpoints (halves) and triangle centroids (thirds), kept exact as
-Fractions.  Floats appear only in the SVG text."""
+Fractions.  Floats appear only in the SVG text, from int true divisions,
+rounded as ``Fraction.__float__`` rounds.  The overlap check keys each piece
+by the unit lattice triangles it holds (``_first_overlap``)."""
 
 from __future__ import annotations
 
@@ -264,25 +266,27 @@ def _cell_points(a: Type) -> dict[tuple[int, ...], Axial]:
     return pts
 
 
-def _interiors_disjoint(p: tuple[Axial, ...], q: tuple[Axial, ...]) -> bool:
-    # separating-axis test for two ccw convex polygons with exact (int or
-    # Fraction) coordinates
-    def separated_by_edge_of(poly: tuple[Axial, ...], other: tuple[Axial, ...]) -> bool:
-        for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
-            ex, ey = bx - ax, by - ay
-            if all((qx - ax) * ey - (qy - ay) * ex >= 0 for qx, qy in other):
-                return True  # other fully on the non-interior side
-        return False
-
-    return separated_by_edge_of(p, q) or separated_by_edge_of(q, p)
+def _first_overlap(polygons: list[tuple[Axial, ...]]) -> tuple[int, int] | None:
+    """The smallest pair a < b of placed unit pieces whose interiors overlap,
+    or None: they share a unit lattice triangle, keyed by its corner sum (a
+    triangle holds one, a rhombus two, split along its diagonal of length 1)."""
+    holders: dict[Axial, list[int]] = {}
+    for index, poly in enumerate(polygons):
+        x, y = poly[2][0] - poly[0][0], poly[2][1] - poly[0][1]
+        if len(poly) == 4 and x * x + x * y + y * y != 1:
+            poly = poly[1:] + poly[:1]  # the short diagonal joins the other two
+        (u0, v0), (u2, v2) = poly[0], poly[2]
+        for u, v in poly[1::2]:  # each corner off the diagonal makes a triangle
+            holders.setdefault((u0 + u2 + u, v0 + v2 + v), []).append(index)
+    return min((tuple(h[:2]) for h in holders.values() if len(h) > 1), default=None)
 
 
 def embed(c: SubgraphCollection) -> tuple[EmbeddedCell, ...]:
     """Lay a d=3 triangulation out in the triangular lattice, exactly.
 
     Raises EmbeddingInconsistent when the placed pieces fail any exactness
-    check: per-piece area, containment in the side-n triangle, pairwise
-    interior-disjointness, or total area n^2."""
+    check: per-piece area, containment in the side-n triangle, total area
+    n^2, or disjoint interiors (``_first_overlap``)."""
     if c.d != 3:
         raise ValueError(f"the planar embedding needs d=3, got d={c.d}")
     require_triangulation(c)
@@ -338,11 +342,9 @@ def embed(c: SubgraphCollection) -> tuple[EmbeddedCell, ...]:
         raise EmbeddingInconsistentError(
             f"tiles cover area {total}, the side-{n} triangle has {n * n}"
         )
-    for ea, eb in itertools.combinations(out, 2):
-        if not _interiors_disjoint(ea.polygon, eb.polygon):
-            raise EmbeddingInconsistentError(
-                f"cells {ea.index} and {eb.index} overlap"
-            )
+    clash = _first_overlap([e.polygon for e in out])
+    if clash is not None:
+        raise EmbeddingInconsistentError(f"cells {clash[0] + 1} and {clash[1] + 1} overlap")
     return tuple(out)
 
 
@@ -371,9 +373,10 @@ def _fmt(x: float) -> str:
 
 
 def _to_xy(pt: Axial | Point, n: int) -> tuple[float, float]:
-    # halving a float is exact, so this equals float(u + v/2) for ints and Fractions
-    x = float(2 * pt[0] + pt[1]) / 2 * _SCALE
-    y = (float(n) - float(pt[1])) * (_SQRT3 / 2.0) * _SCALE
+    # int true divisions round correctly, as Fraction.__float__ does, and halving is exact
+    un, ud, vn, vd = pt[0].numerator, pt[0].denominator, pt[1].numerator, pt[1].denominator
+    x = (2 * un * vd + vn * ud) / (ud * vd) / 2 * _SCALE
+    y = (float(n) - vn / vd) * (_SQRT3 / 2.0) * _SCALE
     return x, y
 
 

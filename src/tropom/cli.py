@@ -16,9 +16,9 @@ Each program and subcommand is declared once, in `_PROGRAMS`: program ->
 `add_argument` keywords) pairs in order.  Most handlers are `_emit_obj` or
 `_emit_report` around one library call, made through its module's name at
 call time, so a tracer that swaps those names sees every call.  A type set
-is printed from its mask rows by `_emit_types`, the census from one text per
-distinct cell by `_emit_census`, everything else by `_emit`; all three write
-their text as they build it, one list item or row block at a time.
+is printed from its mask rows by `_emit_types`, a collection or the census
+from the cell writer `_cell_text` by `_emit_listed`, everything else by
+`_emit`; all three write their text as they build it, one item at a time.
 A program's parser is built from the table on first use, then reused."""
 
 from __future__ import annotations
@@ -86,20 +86,19 @@ def _emit_types(m: core.TomTypeSet) -> None:
     sys.stdout.writelines(itertools.chain(pieces, ["\n"]))
 
 
-def _emit_census(n: int, d: int, tris: Sequence[subdivision.SubgraphCollection]) -> None:
-    """Print the census exactly as `_emit` would print its object, one
-    triangulation at a time: each distinct cell's text is built once, and
-    each triangulation is one join of its cells' texts."""
-    first, comma, close = _layout([0, 0], "\n    ", {}, lambda *_: ())
-    cells = {c.edges: c for t in tris for c in t.cells}  # one text per distinct cell
-    texts = {k: _indented(c.to_obj(), "\n      ", {}) for k, c in cells.items()}
+def _cell_text(newline: str) -> Callable[[subdivision.BipartiteSubgraph], str]:
+    """The cell writer: a cell's text as `_emit` nests it below `newline`."""
+    first, comma, close = _layout([0, 0], newline, {}, lambda *_: ())
+    e_first, e_comma, e_close = _layout([0, 0], newline + "  ", {}, lambda *_: ())
+    return lambda c: first + comma.join(
+        f"{e_first}{i}{e_comma}{j}{e_close}" for i, j in c.to_obj()) + close
 
-    def triangulation(t: subdivision.SubgraphCollection, *_) -> str:
-        return first + comma.join([texts[c.edges] for c in t.cells]) + close
 
-    obj = {"n": n, "d": d, "count": len(tris), "triangulations": tris}
-    pieces = _layout(obj, "\n", {}, lambda v, *at: _layout(v, *at, triangulation)
-                     if v is tris else _indented(v, *at))
+def _emit_listed(obj: dict, key: str, text: Callable[[object], str]) -> None:
+    """Print `obj` as `_emit` would, each item of the list `obj[key]` as
+    `text(item)` gives it, one item a write."""
+    pieces = _layout(obj, "\n", {}, lambda v, *at: _layout(v, *at, lambda u, *_: text(u))
+                     if v is obj[key] else _indented(v, *at))
     sys.stdout.writelines(itertools.chain(pieces, ["\n"]))
 
 
@@ -228,7 +227,18 @@ def _enumerate(args: argparse.Namespace) -> int:
     if args.count:
         _emit({"n": args.n, "d": args.d, "count": len(tris)})
     else:
-        _emit_census(args.n, args.d, tris)
+        first, comma, close = _layout([0, 0], "\n    ", {}, lambda *_: ())
+        cells = {c.edges: c for t in tris for c in t.cells}  # one text per distinct cell
+        texts = dict(zip(cells, map(_cell_text("\n      "), cells.values())))
+        _emit_listed({"n": args.n, "d": args.d, "count": len(tris), "triangulations": tris},
+                     "triangulations",
+                     lambda t: first + comma.join([texts[c.edges] for c in t.cells]) + close)
+    return 0
+
+
+def _from_tom(args: argparse.Namespace) -> int:
+    c = subdivision.tom_to_subdivision(_typeset(args))
+    _emit_listed({"n": c.n, "d": c.d, "cells": c.cells}, "cells", _cell_text("\n    "))
     return 0
 
 
@@ -284,9 +294,7 @@ _PROGRAMS: dict[str, tuple[str, dict[str, tuple[Handler, list]]]] = {
             ),
             [("--triangulation", _flag("require spanning trees")), _INPUT],
         ),
-        "from-tom": (
-            _emit_obj(lambda a: subdivision.tom_to_subdivision(_typeset(a))), [_INPUT]
-        ),
+        "from-tom": (_from_tom, [_INPUT]),
         "to-tom": (
             _emit_obj(lambda a: subdivision.triangulation_types(_collection(a))),
             [_INPUT],

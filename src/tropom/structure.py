@@ -89,8 +89,14 @@ def topes(m: TomTypeSet) -> frozenset[Type]:
     return frozenset(Type(m.n, m.d, tuple(r)) for r in m.rows[_singletons(m.rows)].tolist())
 
 
+def _vertex_rows(m: TomTypeSet) -> list[tuple[int, ...]]:
+    """m's vertex rows in order (a row of under n + d - 1 elements cannot span)."""
+    rows, edges = map(tuple, m.rows.tolist()), m.n + m.d - 1
+    return [r for r in rows if sum(map(int.bit_count, r)) >= edges and _spans(r, m.d)]
+
+
 def vertices(m: TomTypeSet) -> frozenset[Type]:
-    return frozenset(Type(m.n, m.d, tuple(r)) for r in m.rows.tolist() if _spans(r, m.d))
+    return frozenset(Type(m.n, m.d, r) for r in _vertex_rows(m))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ from .core import (
     elements_of,
     read_shaped,
 )
-from .structure import _components, _spans, vertices
+from .structure import _components, _spans, _vertex_rows
 
 # Spanning-tree budget for the triangulation census.  1000 admits every
 # shape that finishes in seconds; the first shapes past it ((4,4), (3,5))
@@ -115,6 +115,14 @@ class BipartiteSubgraph:
         object.__setattr__(self, "_sorted", tuple(sorted(self.edges)))
 
     @classmethod
+    def _from_rows(cls, n: int, d: int, rows: tuple[int, ...]) -> "BipartiteSubgraph":
+        """The cell with these rows, masks of d directions not all 0; unchecked."""
+        ordered = tuple((i, j) for i, r in enumerate(rows, 1) for j in elements_of(r))
+        made = object.__new__(cls)
+        made.__dict__.update(n=n, d=d, edges=frozenset(ordered), rows=rows, _sorted=ordered)
+        return made
+
+    @classmethod
     def from_obj(cls, obj: object, n: int, d: int) -> "BipartiteSubgraph":
         if not isinstance(obj, list):
             raise ValueError("a cell is an array of [i, j] edges")
@@ -138,10 +146,7 @@ class BipartiteSubgraph:
 
 def type_to_subgraph(a: Type) -> BipartiteSubgraph:
     """Edges (i, j) for every direction j in coordinate i."""
-    edges = frozenset(
-        (i, j) for i, mask in enumerate(a.coords, start=1) for j in elements_of(mask)
-    )
-    return BipartiteSubgraph(a.n, a.d, edges)
+    return BipartiteSubgraph._from_rows(a.n, a.d, a.coords)
 
 
 def subgraph_to_type(g: BipartiteSubgraph) -> Type:
@@ -340,9 +345,12 @@ def _interior_facets(
 
 def _facet_holders(facets: np.ndarray, owner: np.ndarray, rows: np.ndarray) -> Iterator[int]:
     """For each facet, the other cells that hold it (a superset in every left
-    row) as a bitmask over the cells, in blocks of facets within _PAIR_BUDGET."""
-    for start, stop in _row_blocks(len(facets), rows.size):
-        holds = ~(facets[start:stop, None] & ~rows).any(axis=-1)
+    row) as a bitmask over the cells, in blocks of facets x cells within
+    _PAIR_BUDGET, the superset test ANDed one left row at a time."""
+    missing, kept = np.ascontiguousarray(~rows.T)[:, None], np.ascontiguousarray(facets.T)
+    for start, stop in _row_blocks(len(facets), len(rows)):
+        extra = map(operator.and_, kept[:, start:stop, None], missing)  # (facets, cells) a row
+        holds = functools.reduce(operator.ior, extra) == 0
         holds[np.arange(stop - start), owner[start:stop]] = False
         for row in np.packbits(holds, axis=1, bitorder="little"):
             yield int.from_bytes(row.tobytes(), "little")
@@ -407,11 +415,11 @@ def check_subdivision(
 
 
 def tom_to_subdivision(m: TomTypeSet) -> SubgraphCollection:
-    """The dual subdivision: one cell per zero-dimensional type."""
-    verts = vertices(m)
-    if not verts:
+    """The dual subdivision: one cell per zero-dimensional type's row."""
+    cells = tuple(BipartiteSubgraph._from_rows(m.n, m.d, r) for r in _vertex_rows(m))
+    if not cells:
         raise ValueError("the type set has no zero-dimensional types")
-    return SubgraphCollection(m.n, m.d, tuple(map(type_to_subgraph, verts)))
+    return SubgraphCollection(m.n, m.d, cells)
 
 
 def require_triangulation(c: SubgraphCollection) -> None:

@@ -293,6 +293,35 @@ def transition_landings_naive(a: tuple[frozenset, ...]) -> list[tuple[int, int, 
     return moves
 
 
+# ------------------------------------------------------- planar pieces
+#
+# A placed piece is a ccw polygon of axial lattice points (u, v).
+
+
+def interiors_disjoint(p: tuple, q: tuple) -> bool:
+    """Separating-axis test for two ccw convex polygons with exact (int or
+    Fraction) coordinates: their interiors are disjoint when every point of
+    one lies on the outer side of some edge of the other."""
+
+    def separated_by_edge_of(poly: tuple, other: tuple) -> bool:
+        for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
+            ex, ey = bx - ax, by - ay
+            if all((qx - ax) * ey - (qy - ay) * ex >= 0 for qx, qy in other):
+                return True  # other fully on the non-interior side
+        return False
+
+    return separated_by_edge_of(p, q) or separated_by_edge_of(q, p)
+
+
+def first_overlap_naive(polygons: list) -> tuple[int, int] | None:
+    """The first pair (a, b), a < b, in itertools.combinations order whose
+    interiors overlap, or None."""
+    for (a, p), (b, q) in itertools.combinations(enumerate(polygons), 2):
+        if not interiors_disjoint(p, q):
+            return a, b
+    return None
+
+
 # ------------------------------------------------- triangulation counting
 
 

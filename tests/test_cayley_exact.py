@@ -3,20 +3,32 @@
 `embed` keeps lattice points as ints and segment ends as Fractions.  The
 reference below lays the tiling out the way it was first written, with
 every coordinate a Fraction, and the integer path must agree with it
-exactly, SVG bytes included."""
+exactly, SVG bytes included.  The overlap check on unit lattice triangles
+must name the pair that the pairwise separating-axis oracle names."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from tropom import cayley, classify_piece, embed, enumerate_triangulations, render_svg
-from tropom.cayley import EmbeddedCell, _doubled_area, _hull, _interiors_disjoint
+from tropom import (
+    arrangement_tom,
+    cayley,
+    classify_piece,
+    embed,
+    enumerate_triangulations,
+    random_generic_arrangement,
+    render_svg,
+    tom_to_subdivision,
+)
+from tropom.cayley import EmbeddedCell, _doubled_area, _first_overlap, _hull
 from tropom.subdivision import subgraph_to_type
 from tropom.core import elements_of
+from oracles import first_overlap_naive, interiors_disjoint as _interiors_disjoint
 
 # The same figures at two sizes: in int coordinates as written, and halved
 # into Fractions.  The predicate does not depend on the scale.
@@ -166,6 +178,15 @@ def _all_small_triangulations():
     return [tri for n in (2, 3) for tri in enumerate_triangulations(n, 3)]
 
 
+def _from_tom_collections():
+    """The dual subdivisions of seed-7 generic arrangements of 6, 10 and 20
+    hyperplanes: triangulations with 21, 55 and 210 cells."""
+    return [
+        tom_to_subdivision(arrangement_tom(random_generic_arrangement(n, 3, seed=7)))
+        for n in (6, 10, 20)
+    ]
+
+
 def _is_exact(x):
     return type(x) in (int, Fraction)
 
@@ -188,8 +209,78 @@ def test_embedding_is_exact_and_matches_the_fraction_reference():
 
 
 def test_svg_matches_the_fraction_reference(monkeypatch):
-    tris = _all_small_triangulations()
+    tris = _all_small_triangulations() + _from_tom_collections()
     svgs = [render_svg(tri) for tri in tris]
     monkeypatch.setattr(cayley, "embed", _ref_embed)
     monkeypatch.setattr(cayley, "_to_xy", _ref_to_xy)
     assert [render_svg(tri) for tri in tris] == svgs
+
+
+# ---------------------------------------------------------------------------
+# the overlap check
+
+
+def test_overlap_check_agrees_with_the_pairwise_oracle_on_placed_pieces():
+    # every pair of distinct pieces placed by some triangulation of a shape,
+    # so that pieces of different triangulations overlap too
+    shapes = [enumerate_triangulations(n, 3) for n in (2, 3)] + [
+        [c] for c in _from_tom_collections()
+    ]
+    assert sum(map(len, shapes)) == 6 + 108 + 3
+    overlapping = 0
+    for tris in shapes:
+        pieces = sorted({cell.polygon for tri in tris for cell in embed(tri)})
+        for p, q in itertools.combinations(pieces, 2):
+            want = None if _interiors_disjoint(p, q) else (0, 1)
+            assert _first_overlap([p, q]) == want, (p, q)
+            overlapping += want is not None
+    assert overlapping > 20
+
+
+def _unit(*corners):
+    return _hull(list(corners))
+
+
+UP = _unit((1, 1), (2, 1), (1, 2))
+DOWN = _unit((2, 1), (1, 2), (2, 2))  # shares UP's edge (2,1)-(1,2)
+RHOMBUS = _unit((1, 1), (2, 1), (2, 2), (1, 2))  # UP and DOWN
+RHOMBUS_LEFT = _unit((1, 1), (2, 1), (1, 2), (0, 2))  # UP and the down triangle left of it
+RHOMBUS_BELOW = _unit((2, 0), (2, 1), (1, 2), (1, 1))  # UP and the down triangle below it
+AWAY = _unit((3, 0), (4, 0), (3, 1))  # meets UP nowhere
+CORNER = _unit((2, 1), (3, 1), (2, 2))  # meets UP at (2, 1) only
+
+PLANTED = {
+    "a repeated triangle": ([AWAY, UP, UP], (1, 2)),
+    "a repeated rhombus": ([RHOMBUS_LEFT, AWAY, RHOMBUS_LEFT], (0, 2)),
+    "a rhombus over its upward triangle": ([RHOMBUS, AWAY, UP], (0, 2)),
+    "a rhombus over its downward triangle": ([DOWN, RHOMBUS], (0, 1)),
+    "two rhombi sharing one triangle": ([RHOMBUS_BELOW, RHOMBUS_LEFT], (0, 1)),
+    "the smallest pair is not the first clash met": ([UP, AWAY, DOWN, RHOMBUS], (0, 3)),
+    "triangles touching along an edge": ([UP, DOWN], None),
+    "triangles touching at a corner": ([UP, CORNER, AWAY], None),
+    "a rhombus beside a triangle": ([RHOMBUS, CORNER, AWAY], None),
+    "three rhombi around a point": ([RHOMBUS_LEFT, _unit((2, 1), (3, 1), (2, 2), (1, 2)),
+                                     _unit((1, 0), (2, 0), (2, 1), (1, 1))], None),
+}
+
+
+@pytest.mark.parametrize("pieces, want", PLANTED.values(), ids=PLANTED.keys())
+def test_overlap_check_names_the_pairwise_loops_first_pair(pieces, want):
+    assert first_overlap_naive(pieces) == want
+    assert _first_overlap(pieces) == want
+
+
+def test_overlap_check_on_random_lists_of_unit_pieces():
+    n = 4  # every unit triangle and rhombus of the side-4 triangle
+    ups = [((u, v), (u + 1, v), (u, v + 1)) for u in range(n) for v in range(n - u)]
+    downs = [((u + 1, v), (u, v + 1), (u + 1, v + 1)) for u in range(n) for v in range(n - u - 1)]
+    pieces = [_unit(*t) for t in ups + downs]
+    pieces += [_unit(*set(a + b)) for a in ups for b in downs if len(set(a) & set(b)) == 2]
+    rng = random.Random(24)
+    named = 0
+    for _ in range(400):
+        picked = rng.sample(pieces, rng.randint(2, 7))
+        want = first_overlap_naive(picked)
+        assert _first_overlap(picked) == want, picked
+        named += want is not None
+    assert 100 < named < 400

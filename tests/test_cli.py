@@ -546,6 +546,84 @@ def test_malformed_type_sets_exit_two_with_the_first_error(
     assert invoke(monkeypatch, capsys, argv, text) == (2, "", f"error: {error}\n")
 
 
+# shapes are checked in entry order, and then the first edge out of range is
+# named in the order of the cell's edge set, not of its entries
+@pytest.mark.parametrize(
+    "cells, error",
+    [
+        ([[[1, 1], [1, 2], [1, 3], [2, 1]], {"edges": 1}], "a cell is an array of [i, j] edges"),
+        ([[[1, 1], [1]]], "not an edge: [1]"),
+        ([[[1, 1, 1]]], "not an edge: [1, 1, 1]"),
+        ([[[True, 1]]], "not an edge: [True, 1]"),
+        ([[[1.0, 2]]], "not an edge: [1.0, 2]"),
+        ([[[4, 1], [1]]], "not an edge: [1]"),
+        ([[[1, 1], [4, 1]]], "left vertex 4 out of range 1..3"),
+        ([[[1, 1], [2, 4]]], "right vertex 4 out of range 1..3"),
+        ([[[4, 1], [1, 4]]], "left vertex 4 out of range 1..3"),
+        ([[[1, 4], [4, 1]]], "left vertex 4 out of range 1..3"),
+        ([[[4, 2], [5, 1]]], "left vertex 5 out of range 1..3"),
+        ([[[1, 5], [2, 4], [1, 1]]], "right vertex 4 out of range 1..3"),
+        ([[[4, 4]]], "left vertex 4 out of range 1..3"),
+        ([[[0, 1], [2, -1], [1, 1]]], "left vertex 0 out of range 1..3"),
+        ([[[0, 1], [1, 1]]], "left vertex 0 out of range 1..3"),
+        ([[[1, 0], [2, 1]]], "right vertex 0 out of range 1..3"),
+        ([[[-1, 2]]], "left vertex -1 out of range 1..3"),
+        ([[[1, 1], [1, 2]], [[2, 4]], [[4, 1]]], "right vertex 4 out of range 1..3"),
+        ([[]], "a cell needs at least one edge"),
+        ([[[1, 1], [2, 1], [3, 1]], []], "a cell needs at least one edge"),
+        # d = 0 lets a huge n past the edge-count cap: refused before n rows are made
+        ({"n": 10**10, "d": 0, "cells": [[[1]]]}, "not an edge: [1]"),
+        ({"n": 10**10, "d": 0, "cells": [[]]}, "a cell needs at least one edge"),
+    ],
+)
+@pytest.mark.parametrize("argv", [["subdiv", "check"], ["cayley", "render"]])
+def test_malformed_cells_exit_two_with_the_first_error(monkeypatch, capsys, argv, cells, error):
+    doc = cells if isinstance(cells, dict) else {"n": 3, "d": 3, "cells": cells}
+    assert invoke(monkeypatch, capsys, argv, json.dumps(doc)) == (2, "", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["subdiv", "check", "--triangulation"],
+         "8ca811bc35f2a878dbd74a22e668d1e3d67df814432e11686f4990a732104d2c"),
+        (["cayley", "render"], "3711924a8625804ee4b39972fb1f2c9fa0467b20f918ff99180333b9da3cefe3"),
+        (["cayley", "verify-transitions"],
+         "9fed421f3b4fa3a946842993aa2c8b610f725e90e6e6cc3e761ca282cc49a634"),
+        (["subdiv", "to-tom"], "a06f87757028727c9a6eea7e0739abad5f55ae7c3fd27975344b73a532ece95f"),
+    ],
+)
+def test_repeated_edges_and_cells_are_accepted(monkeypatch, capsys, argv, digest):
+    # the prism's cells, with edges repeated and out of order and its last
+    # cell given twice, print what the prism prints
+    repeated = prism_cells().to_obj()
+    first, second, third = repeated["cells"]
+    repeated["cells"] = [first[::-1] + first[:2], second + second[-1:], third, third[::-1]]
+    out = invoke(monkeypatch, capsys, argv, json.dumps(repeated))
+    assert out == invoke(monkeypatch, capsys, argv, CELLS_JSON)
+    assert (out[0], out[2]) == (0, "")
+    assert hashlib.sha256(out[1].encode()).hexdigest() == digest
+
+
+# sha256 of the dual subdivisions of seed-7 generic arrangements, taken
+# before `subdiv from-tom` made its cells from the vertex rows
+FROM_TOM_DIGESTS = {
+    6: "e2c4df8a3fdf0845ec48f5e6245eebbc6e8e126b49dbc4f9d4f683cfe57ca041",
+    10: "ab123ad0e8cbac1b026eef9c43af3282cd1cd1e7534033194b08e475f410c6d5",
+    20: "a44acc130f2c3d7a1ef6493086e9630a944d443b0373e6501863c1c413e19831",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FROM_TOM_DIGESTS))
+def test_from_tom_prints_the_pinned_collection(n, monkeypatch, capsys):
+    tom = json.dumps(arrangement_tom(random_generic_arrangement(n, 3, seed=7)).to_obj())
+    code, out, err = invoke(monkeypatch, capsys, ["subdiv", "from-tom"], tom)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FROM_TOM_DIGESTS[n]
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert len(json.loads(out)["cells"]) == (n + 1) * n // 2
+
+
 def test_repeated_elements_and_types_are_accepted(monkeypatch, capsys):
     twice = prism_tom().to_obj()
     twice["types"] = [[c + c for c in t] for t in twice["types"] * 2]

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from tropom import TomTypeSet, Type, cli, subdivision
+from tropom import TomTypeSet, Type, arrangement_tom, cli, random_generic_arrangement, subdivision
 from tropom.cli import run
 from helpers import T, prism_cells, prism_tom
 
@@ -79,10 +79,10 @@ def test_writer_matches_json_on_edge_cases(obj, capsys):
 def _run_recorded(monkeypatch, capsys, argv, stdin_text=""):
     """Run one command; return its stdout and the objects it emitted: those
     handed to `_emit`, the `to_obj()` of each type set handed to the row
-    writer `_emit_types`, and the object the census writer `_emit_census`
-    prints, read from its cells' edge lists."""
+    writer `_emit_types`, and the object `_emit_listed` prints with the cell
+    writer, a collection or the census, read from its cells' edge lists."""
     seen = []
-    emit, emit_types, emit_census = cli._emit, cli._emit_types, cli._emit_census
+    emit, emit_types, emit_listed = cli._emit, cli._emit_types, cli._emit_listed
 
     def recording(obj):
         seen.append(obj)
@@ -92,19 +92,23 @@ def _run_recorded(monkeypatch, capsys, argv, stdin_text=""):
         seen.append(m.to_obj())
         emit_types(m)
 
-    def recording_census(n, d, tris):
-        cells = [[[list(e) for e in c.edge_list()] for c in t.cells] for t in tris]
-        seen.append({"n": n, "d": d, "count": len(tris), "triangulations": cells})
-        emit_census(n, d, tris)
+    def recording_listed(obj, key, text):
+        def edges(v):  # a cell's edge list, or a triangulation's cells' lists
+            if isinstance(v, subdivision.SubgraphCollection):
+                return list(map(edges, v.cells))
+            return [list(e) for e in v.edge_list()]
+
+        seen.append({**obj, key: list(map(edges, obj[key]))})
+        emit_listed(obj, key, text)
 
     monkeypatch.setattr(cli, "_emit", recording)
     monkeypatch.setattr(cli, "_emit_types", recording_types)
-    monkeypatch.setattr(cli, "_emit_census", recording_census)
+    monkeypatch.setattr(cli, "_emit_listed", recording_listed)
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
     run(argv)
     monkeypatch.setattr(cli, "_emit", emit)
     monkeypatch.setattr(cli, "_emit_types", emit_types)
-    monkeypatch.setattr(cli, "_emit_census", emit_census)
+    monkeypatch.setattr(cli, "_emit_listed", emit_listed)
     return capsys.readouterr().out, seen
 
 
@@ -177,6 +181,23 @@ def test_census_converts_each_cell_once(monkeypatch, capsys):
     assert seen[0]["triangulations"] == want
     assert out == json.dumps(seen[0], indent=2) + "\n"
     assert len(calls) == len(set(calls)) == len({c for t in tris for c in t.cells})
+
+
+def _collections():
+    """Collections at the edges of the cell writer: one cell, two-digit left
+    vertices, and cells sharing most of their edges."""
+    wide = subdivision.tom_to_subdivision(
+        arrangement_tom(random_generic_arrangement(12, 3, seed=7))
+    )
+    trees = subdivision._all_spanning_trees(4, 3)
+    one = subdivision.SubgraphCollection(1, 5, (subdivision.BipartiteSubgraph(1, 5, {(1, 3)}),))
+    return [prism_cells(), one, wide, subdivision.SubgraphCollection(4, 3, tuple(trees))]
+
+
+@pytest.mark.parametrize("c", _collections(), ids=lambda c: f"n={c.n},d={c.d},k={len(c)}")
+def test_collection_writer_matches_json(c, capsys):
+    cli._emit_listed(c.to_obj() | {"cells": c.cells}, "cells", cli._cell_text("\n    "))
+    assert capsys.readouterr().out == json.dumps(c.to_obj(), indent=2) + "\n"
 
 
 def _type_sets():

@@ -1,5 +1,5 @@
 """tools/record_bench.py records only runs whose every step passed, and
-walls whose every verdict is ok."""
+walls whose every verdict is ok and whose every picture is whole."""
 
 from __future__ import annotations
 
@@ -23,11 +23,19 @@ def _load():
     return module
 
 
-def _passing(wall: dict) -> dict:
-    """The report of a wall that counts."""
+def _svg(polygons: int) -> bytes:
+    return b'<svg x="1">\n' + b'  <polygon points="0,0"/>\n' * polygons + b"</svg>\n"
+
+
+def _passing(wall: dict) -> bytes:
+    """The stdout of a wall that counts."""
+    if "polygons" in wall:
+        return _svg(wall["polygons"])
     if "triangulations" in wall:
-        return {"ok": True, "triangulations": wall["triangulations"], "injective": True}
-    return {"ok": True}
+        report = {"ok": True, "triangulations": wall["triangulations"], "injective": True}
+    else:
+        report = {"ok": True}
+    return json.dumps(report).encode()
 
 
 def _record(monkeypatch, tmp_path, runs: dict, walls: dict | None = None) -> tuple[int, list[str]]:
@@ -37,7 +45,7 @@ def _record(monkeypatch, tmp_path, runs: dict, walls: dict | None = None) -> tup
     module = _load()
 
     def run_wall(wall):
-        stdout, code = (walls or {}).get(wall["name"], (json.dumps(_passing(wall)).encode(), 0))
+        stdout, code = (walls or {}).get(wall["name"], (_passing(wall), 0))
         return {"wall_s": 1.0, "exit_code": code, "stdout_bytes": len(stdout)}, stdout
 
     monkeypatch.setattr(module, "run_wall", run_wall)
@@ -79,7 +87,7 @@ def test_passing_runs_are_written(monkeypatch, tmp_path):
     assert (code, files) == (0, ["BENCHMARK.json", "BENCH_99.json"])
     record = json.loads((tmp_path / "BENCH_99.json").read_text())
     assert record["workloads"]["good"]["failed"] == 0
-    names = ["verdict-5x6", "verdict-6x5", "probe-3x4", "probe-2x6"]
+    names = ["verdict-5x6", "verdict-6x5", "probe-3x4", "probe-2x6", "picture-40x3"]
     assert list(record["walls"]) == names
     assert record["walls"]["probe-3x4"]["exit_code"] == 0
 
@@ -96,10 +104,20 @@ def test_passing_runs_are_written(monkeypatch, tmp_path):
          "the probe is not injective over 4488 triangulations"),
         ("probe-2x6", {"ok": True, "triangulations": 719, "injective": True}, 0,
          "the probe is not injective over 720 triangulations"),
+        ("picture-40x3", _svg(820), 1, "exit code 1"),
+        ("picture-40x3", b"", 2, "exit code 2"),
+        ("picture-40x3", _svg(819), 0, "the picture draws 819 polygons, not 820"),
+        ("picture-40x3", _svg(821), 0, "the picture draws 821 polygons, not 820"),
+        ("picture-40x3", _svg(820)[:-1], 0, "stdout is not one SVG document"),
+        ("picture-40x3", _svg(410) + _svg(410), 0, "stdout is not one SVG document"),
+        ("picture-40x3", json.dumps({"ok": True}).encode(), 0, "stdout is not one SVG document"),
     ],
 )
 def test_a_failing_wall_writes_no_file(monkeypatch, tmp_path, capsys, name, report, code, reason):
-    stdout = b"not json" if report is None else json.dumps(report).encode()
+    if type(report) is bytes:
+        stdout = report
+    else:
+        stdout = b"not json" if report is None else json.dumps(report).encode()
     runs = {"good": (_result(0), [])}
     assert _record(monkeypatch, tmp_path, runs, {name: (stdout, code)}) == (1, ["BENCHMARK.json"])
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {name}: {reason}"
@@ -119,6 +137,19 @@ def test_a_wall_runs_its_pipeline_in_fresh_processes(monkeypatch):
     # a stage that fails fails the pipeline
     measured, _ = module.run_wall(dict(wall, commands=[["tom", "frobnicate"], ["tom", "check"]]))
     assert measured["exit_code"] == 2
+
+
+def test_a_picture_wall_draws_one_polygon_a_cell(monkeypatch):
+    module = _load()
+    monkeypatch.chdir(ROOT)
+    wall = {"name": "picture-4x3", "arrangement": [4, 3], "commands": module._PICTURE,
+            "polygons": 10}
+    measured, stdout = module.run_wall(wall)
+    assert measured["command"] == "tom from-arrangement | subdiv from-tom | cayley render"
+    assert measured["exit_code"] == 0 and stdout.startswith(b"<svg ")
+    assert module.wall_failure(wall, measured, stdout) is None
+    assert module.wall_failure(dict(wall, polygons=11), measured, stdout) == (
+        "the picture draws 10 polygons, not 11")
 
 
 def test_the_record_says_whether_samples_wrote_bytecode(monkeypatch, tmp_path):

@@ -62,6 +62,19 @@ def test_prism_topes_and_vertices_are_frozen():
     assert vertices(m) == {T(3, *p) for p in PRISM_VERTICES}
 
 
+def test_vertices_are_the_types_that_span():
+    # random sets, with rows of n + d - 1 elements or more that do not
+    # connect, and spanning rows with more elements than a tree has
+    rng = random.Random(24)
+    for _ in range(200):
+        n, d = rng.randint(1, 5), rng.randint(1, 6)
+        masks = [rng.randint(1, (1 << d) - 1) for _ in range(6)] + [(1 << d) - 1]
+        m = TomTypeSet.from_types(
+            Type(n, d, tuple(rng.choice(masks) for _ in range(n))) for _ in range(12)
+        )
+        assert vertices(m) == {t for t in m.types if is_vertex(t)}
+
+
 def test_refinement_witness_is_a_certificate():
     b, a = T(3, "23", "3"), T(3, "23", "13")
     w = is_refinement_of(b, a)

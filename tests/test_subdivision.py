@@ -355,6 +355,34 @@ def test_edge_list_is_sorted_once_and_stays_out_of_identity():
     assert a.to_obj() == [[1, 1], [1, 3], [2, 1], [2, 2]]
 
 
+def _same_cell(a: BipartiteSubgraph, b: BipartiteSubgraph) -> bool:
+    return (a, a.rows, a.edge_list(), type(a.edges)) == (b, b.rows, b.edge_list(), frozenset)
+
+
+def test_parsed_cells_equal_constructed_cells():
+    # cells made in the parse pass, without __post_init__, have the rows,
+    # edge order and identity of the checked constructor's
+    rng = random.Random(24)
+    for _ in range(300):
+        n, d = rng.randint(1, 12), rng.randint(1, 6)
+        edges = [(rng.randint(1, n), rng.randint(1, d)) for _ in range(rng.randint(1, 2 * n * d))]
+        parsed = BipartiteSubgraph.from_obj([list(e) for e in edges], n, d)
+        assert _same_cell(parsed, BipartiteSubgraph(n, d, frozenset(edges))), edges
+
+
+def test_dual_subdivisions_equal_the_cells_of_the_vertex_types():
+    # made from the vertex rows, as they once were from the vertex types'
+    # edge sets, on generic and degenerate arrangements
+    rng = random.Random(24)
+    for n, d in ((2, 3), (3, 3), (4, 3), (3, 4), (5, 3), (2, 5)):
+        for bound in (1, 3, 50):
+            m = arrangement_tom(random_arrangement(n, d, rng, bound=bound))
+            got = tom_to_subdivision(m)
+            want = SubgraphCollection(n, d, tuple(map(type_to_subgraph, structure.vertices(m))))
+            assert got == want
+            assert all(map(_same_cell, got.cells, want.cells))
+
+
 def _facet_cases():
     """Broken census triangulations (a cell dropped, a stray spanning tree
     added, two merged), every spanning tree of K_{3,3} as one collection,

@@ -15,16 +15,19 @@ import of ``tropom.cli`` more than twice as slow, which moves ``setup_s``.
 
 Then it times the walls, the CLI pipelines of ``WALLS``, once each, every
 program of a pipeline in a fresh ``python -m tropom.cli`` process reading
-the one before it through a pipe: ``tom from-arrangement | tom check`` on
+the one before it through a pipe: ``tom from-arrangement | tom check`` and
+``tom from-arrangement | subdiv from-tom | cayley render`` on
 ``random_generic_arrangement(n, d, seed=7)`` (generated before the clock
-starts) and ``conjecture probe``.  Under the ``walls`` key it writes each
+starts), and ``conjecture probe``.  Under the ``walls`` key it writes each
 one's wall time, exit code (the first nonzero one of the pipeline, else 0),
 and the SHA-256 and byte count of its stdout.
 
 A workload whose result is not correct, or has failed steps, is named with
-its first failure, and so is a wall whose verdict is not ``ok`` (or whose
-probe is not ``ok`` and injective over the expected number of
-triangulations); then no file is written (exit 1).  Standard library only.
+its first failure, and so is a wall that exits nonzero, whose verdict is not
+``ok`` (or whose probe is not ``ok`` and injective over the expected number
+of triangulations), or whose picture is not one SVG document with the
+expected number of polygons; then no file is written (exit 1).  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ import time
 
 SEED = 7
 _VERDICT = [["tom", "from-arrangement"], ["tom", "check"]]
-# a probe wall names the number of triangulations its report must list
+_PICTURE = [["tom", "from-arrangement"], ["subdiv", "from-tom"], ["cayley", "render"]]
+# a probe wall names the number of triangulations its report must list, a
+# picture wall the number of cells its SVG must draw: C(n + 1, 2) at d = 3
 WALLS = [
     {"name": "verdict-5x6", "arrangement": [5, 6], "commands": _VERDICT},
     {"name": "verdict-6x5", "arrangement": [6, 5], "commands": _VERDICT},
@@ -48,6 +53,7 @@ WALLS = [
      "triangulations": 4488},
     {"name": "probe-2x6", "commands": [["conjecture", "probe", "--n", "2", "--d", "6"]],
      "triangulations": 720},
+    {"name": "picture-40x3", "arrangement": [40, 3], "commands": _PICTURE, "polygons": 820},
 ]
 _ARRANGEMENT = (
     "import json, sys; from tropom import random_generic_arrangement as r;"
@@ -103,6 +109,13 @@ def wall_failure(wall: dict, measured: dict, stdout: bytes) -> str | None:
     """Why a wall's run does not count, or None when it does."""
     if measured["exit_code"]:
         return f"exit code {measured['exit_code']}"
+    if "polygons" in wall:
+        if not (stdout.startswith(b"<svg ") and stdout.endswith(b"</svg>\n")
+                and stdout.count(b"<svg") == stdout.count(b"</svg>") == 1):
+            return "stdout is not one SVG document"
+        drawn = stdout.count(b"<polygon")
+        return None if drawn == wall["polygons"] else (
+            f"the picture draws {drawn} polygons, not {wall['polygons']}")
     try:
         report = json.loads(stdout)
     except ValueError:
